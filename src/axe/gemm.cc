@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "axe/gemm_kernel.hh"
 #include "common/logging.hh"
 
 namespace lsdgnn {
@@ -33,21 +34,22 @@ GemmEngine::matmul(std::span<const float> a, std::span<const float> b,
     lsd_assert(c.size() == static_cast<std::size_t>(m) * n,
                "C shape mismatch");
 
-    // Functional result.
-    std::fill(c.begin(), c.end(), 0.0f);
-    for (std::uint32_t i = 0; i < m; ++i)
-        for (std::uint32_t kk = 0; kk < k; ++kk) {
-            const float aik = a[static_cast<std::size_t>(i) * k + kk];
-            if (aik == 0.0f)
-                continue;
-            const std::size_t arow = static_cast<std::size_t>(i) * n;
-            const std::size_t brow = static_cast<std::size_t>(kk) * n;
-            for (std::uint32_t j = 0; j < n; ++j)
-                c[arow + j] += aik * b[brow + j];
-        }
+    GemmArgs args;
+    args.m = m;
+    args.k = k;
+    args.n = n;
+    args.first = {a.data(), k, b.data(), n};
+    args.c = c.data();
+    args.ldc = n;
+    gemm(args);
+    return timing(m, k, n);
+}
 
-    // Timing: output-stationary tiling — each (rows x cols) output
-    // tile streams K partial sums plus the array fill/drain latency.
+ComputeResult
+GemmEngine::timing(std::uint32_t m, std::uint32_t k, std::uint32_t n) const
+{
+    // Output-stationary tiling: each (rows x cols) output tile streams
+    // K partial sums plus the array fill/drain latency.
     const std::uint64_t tiles =
         ((m + rows_ - 1) / rows_) *
         static_cast<std::uint64_t>((n + cols_ - 1) / cols_);

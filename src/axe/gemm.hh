@@ -11,7 +11,9 @@
  * Both engines are functional (they compute real results) with a
  * cycle model matching a systolic array / SIMD lane datapath, so the
  * reduction ablation can quantify the communication win of
- * aggregating attributes on-FPGA before shipping them to the GPU.
+ * aggregating attributes on-FPGA before shipping them to the GPU. The
+ * GEMM engine's results come from the repository's one GEMM kernel
+ * (gemm_kernel.hh); only the cycle model is the engine's own.
  */
 
 #ifndef LSDGNN_AXE_GEMM_HH
@@ -51,11 +53,16 @@ class GemmEngine
                double clock_mhz = 250.0);
 
     /**
-     * c[MxN] = a[MxK] * b[KxN], row major. @p c is overwritten.
+     * c[MxN] = a[MxK] * b[KxN], row major. @p c is overwritten, with
+     * the bits of the scalar k-ascending loop (gemm_kernel.hh).
      */
     ComputeResult matmul(std::span<const float> a,
                          std::span<const float> b, std::span<float> c,
                          std::uint32_t m, std::uint32_t k,
+                         std::uint32_t n) const;
+
+    /** Modeled cycles and time of an MxK by KxN product. */
+    ComputeResult timing(std::uint32_t m, std::uint32_t k,
                          std::uint32_t n) const;
 
     /** Peak FP32 rate of this configuration. */

@@ -1,17 +1,20 @@
 /**
  * @file
- * GraphSAGE-max inference over sampled mini-batches, plus the DSSM
- * end model of Table 3.
+ * GraphSAGE inference over sampled mini-batches, plus the DSSM end
+ * model of Table 3.
  *
- * The layer follows the paper's Eq. (1)/(2) with a max aggregator:
+ * The layer follows the paper's Eq. (1)/(2), by default with a max
+ * aggregator:
  *
  *   a_v = max(h_u : u in S(v))          (Aggregate)
  *   h'_v = ReLU(W_self h_v + W_neigh a_v + b)   (Combine)
  *
  * applied per hop from the deepest frontier inward, exactly over the
- * SampleResult trees the sampling substrate produces. FLOPs are
- * accounted so the Fig. 3 end-to-end model uses the real arithmetic
- * volume of the configured model.
+ * SampleResult trees the sampling substrate produces. There is one
+ * implementation of it, GraphSageModel::forward(): embed() and the
+ * service's compute stage (minibatch_forward.hh) both call it. FLOPs
+ * are accounted so the Fig. 3 end-to-end model uses the real
+ * arithmetic volume of the configured model.
  */
 
 #ifndef LSDGNN_GNN_GRAPHSAGE_HH
@@ -20,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "axe/gemm.hh"
 #include "gnn/tensor.hh"
 #include "graph/attributes.hh"
 #include "sampling/minibatch.hh"
@@ -53,17 +57,15 @@ struct SageLayer {
     std::uint64_t parameterCount() const;
 };
 
-/**
- * Aggregate child rows onto their parents with the given operator.
- * Parents without any children keep a zero row (padding semantics for
- * degree-0 nodes). parent[c] is the parent row of child row c; shared
- * by GraphSageModel::embed and the service's gathered forward pass
- * (minibatch_forward.hh), so both produce bit-identical aggregations.
- */
-Matrix aggregateNeighbors(std::size_t num_parents,
-                          const Matrix &children,
-                          std::span<const std::uint32_t> parent,
-                          Aggregator op);
+/** Arithmetic accounting of one forward pass. */
+struct ForwardTelemetry {
+    /** FLOPs executed (matmuls; the dominant term). */
+    std::uint64_t flops = 0;
+    /** Modeled systolic-array cycles for those matmuls. */
+    std::uint64_t gemm_cycles = 0;
+    /** Modeled engine time for those cycles. */
+    Tick gemm_time = 0;
+};
 
 /** Full multi-layer GraphSAGE-max model. */
 class GraphSageModel
@@ -92,6 +94,31 @@ class GraphSageModel
     Matrix embed(const sampling::SampleResult &batch,
                  const graph::AttributeStore &attrs) const;
 
+    /**
+     * The forward pass: root embeddings from per-level raw features.
+     *
+     * Each layer is one fused kernel call per tree level computing
+     * ReLU((self W_self + agg W_neigh) + b), where agg aggregates the
+     * level's children in child order. The deepest level a layer
+     * computes is never stored: its rows are folded straight into
+     * the next layer's aggregate as they come out of the kernel.
+     *
+     * @param batch The sampled subgraph (parent indices drive
+     *        aggregation); batch.frontier.size() must equal layers().
+     * @param levels levels[0] = roots, levels[h+1] = frontier[h], one
+     *        attrDim()-wide feature row per node.
+     * @param width Output columns per layer, in [1, hiddenDim()]:
+     *        every layer uses the top-left corner of its weights, so
+     *        a narrower pass is a prefix of the full embedding space.
+     * @param gemm Engine whose cycle model @p telemetry reports; may
+     *        be null when @p telemetry is.
+     * @return One width-column embedding row per root.
+     */
+    Matrix forward(const sampling::SampleResult &batch,
+                   const std::vector<Matrix> &levels, std::size_t width,
+                   const axe::GemmEngine *gemm = nullptr,
+                   ForwardTelemetry *telemetry = nullptr) const;
+
     std::size_t layers() const { return layers_.size(); }
     std::size_t hiddenDim() const { return hidden_; }
     std::size_t attrDim() const { return layers_.front().inDim(); }
@@ -111,8 +138,6 @@ class GraphSageModel
   private:
     Matrix featuresOf(std::span<const graph::NodeId> nodes,
                       const graph::AttributeStore &attrs) const;
-    Matrix applyLayer(const SageLayer &layer, const Matrix &self,
-                      const Matrix &neigh_max) const;
 
     std::size_t hidden_;
     std::vector<SageLayer> layers_;

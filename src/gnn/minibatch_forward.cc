@@ -1,67 +1,10 @@
 #include "minibatch_forward.hh"
 
+#include <algorithm>
 #include <cmath>
 
 namespace lsdgnn {
 namespace gnn {
-
-namespace {
-
-/**
- * Truncated prefix copy of one layer for brown-out width degradation:
- * keep the first @p in_keep input rows and @p out_keep output columns
- * of both transforms. Only built on the degraded path; the full-width
- * path uses the model's weights in place.
- */
-SageLayer
-truncateLayer(const SageLayer &layer, std::size_t in_keep,
-              std::size_t out_keep)
-{
-    SageLayer out;
-    out.w_self = Matrix(in_keep, out_keep);
-    out.w_neigh = Matrix(in_keep, out_keep);
-    for (std::size_t i = 0; i < in_keep; ++i)
-        for (std::size_t j = 0; j < out_keep; ++j) {
-            out.w_self.at(i, j) = layer.w_self.at(i, j);
-            out.w_neigh.at(i, j) = layer.w_neigh.at(i, j);
-        }
-    out.bias.assign(layer.bias.begin(),
-                    layer.bias.begin() +
-                        static_cast<std::ptrdiff_t>(out_keep));
-    return out;
-}
-
-/** self * w_self + neigh * w_neigh + bias, ReLU — on the engine. */
-Matrix
-applyLayerGemm(const SageLayer &layer, const Matrix &self,
-               const Matrix &agg, const axe::GemmEngine &gemm,
-               ForwardTelemetry *telemetry)
-{
-    const auto m = static_cast<std::uint32_t>(self.rows());
-    const auto k = static_cast<std::uint32_t>(layer.inDim());
-    const auto n = static_cast<std::uint32_t>(layer.outDim());
-
-    Matrix out(self.rows(), layer.outDim());
-    Matrix neigh(self.rows(), layer.outDim());
-    const axe::ComputeResult rs =
-        gemm.matmul(self.data(), layer.w_self.data(), out.data(), m, k,
-                    n);
-    const axe::ComputeResult rn = gemm.matmul(
-        agg.data(), layer.w_neigh.data(), neigh.data(), m, k, n);
-    if (telemetry != nullptr) {
-        telemetry->flops += 2 * matmulFlops(m, n, k);
-        telemetry->gemm_cycles += rs.cycles + rn.cycles;
-        telemetry->gemm_time += rs.time + rn.time;
-    }
-    for (std::size_t i = 0; i < out.rows(); ++i)
-        for (std::size_t j = 0; j < out.cols(); ++j)
-            out.at(i, j) += neigh.at(i, j);
-    addBias(out, layer.bias);
-    relu(out);
-    return out;
-}
-
-} // namespace
 
 Matrix
 forwardGathered(const GraphSageModel &model,
@@ -70,15 +13,8 @@ forwardGathered(const GraphSageModel &model,
                 const axe::GemmEngine &gemm, double width_scale,
                 ForwardTelemetry *telemetry)
 {
-    const std::size_t depth = model.layers();
-    lsd_assert(batch.frontier.size() == depth, "batch hops (",
-               batch.frontier.size(), ") must equal model layers (",
-               depth, ")");
-    lsd_assert(levels.size() == depth + 1,
-               "gathered levels must cover roots + every frontier");
     lsd_assert(width_scale > 0.0 && width_scale <= 1.0,
                "width_scale must be in (0, 1]");
-
     const std::size_t hidden = model.hiddenDim();
     const std::size_t width =
         width_scale >= 1.0
@@ -86,43 +22,7 @@ forwardGathered(const GraphSageModel &model,
             : std::max<std::size_t>(
                   1, static_cast<std::size_t>(std::lround(
                          static_cast<double>(hidden) * width_scale)));
-
-    // Degraded path: prefix copies sized width x width (layer 0 keeps
-    // its full attribute-width input).
-    std::vector<SageLayer> narrow;
-    if (width < hidden) {
-        narrow.reserve(depth);
-        for (std::size_t k = 0; k < depth; ++k) {
-            const SageLayer &full = model.layerParams()[k];
-            narrow.push_back(truncateLayer(
-                full, k == 0 ? full.inDim() : width, width));
-        }
-    }
-
-    // Iteration 0 reads the (const) gathered levels through pointers;
-    // later iterations read the previous iteration's outputs.
-    std::vector<Matrix> h;
-    for (std::size_t k = 0; k < depth; ++k) {
-        const SageLayer &layer =
-            width < hidden ? narrow[k] : model.layerParams()[k];
-        const std::size_t levels_out = depth - k;
-        std::vector<Matrix> next;
-        next.reserve(levels_out);
-        for (std::size_t lvl = 0; lvl < levels_out; ++lvl) {
-            const Matrix &self = k == 0 ? levels[lvl] : h[lvl];
-            const Matrix &children =
-                k == 0 ? levels[lvl + 1] : h[lvl + 1];
-            const Matrix agg =
-                aggregateNeighbors(self.rows(), children,
-                                   batch.parent[lvl],
-                                   model.aggregator());
-            next.push_back(
-                applyLayerGemm(layer, self, agg, gemm, telemetry));
-        }
-        h = std::move(next);
-    }
-    lsd_assert(h.size() == 1, "layer reduction must end at the roots");
-    return std::move(h[0]);
+    return model.forward(batch, levels, width, &gemm, telemetry);
 }
 
 double

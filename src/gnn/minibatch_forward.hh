@@ -1,22 +1,20 @@
 /**
  * @file
- * GraphSAGE forward pass over pre-gathered feature matrices, routed
- * through the axe GEMM engine — the compute stage of the end-to-end
- * service pipeline.
+ * GraphSAGE forward pass over pre-gathered feature matrices — the
+ * compute stage of the end-to-end service pipeline.
  *
  * GraphSageModel::embed() fetches attribute rows itself, which welds
  * the gather and compute stages together; the pipeline needs them
  * split so gather runs (and is paced, and is accounted) in its own
  * stage. forwardGathered() consumes the per-level matrices an
- * AttributeGatherer produced and applies the same aggregate + combine
- * recursion — bit-identical math, since both paths share
- * aggregateNeighbors() and the GemmEngine's functional matmul
- * accumulates in the same k-major order as gnn::matmul.
+ * AttributeGatherer produced and runs the same GraphSageModel::forward()
+ * that embed() runs, so the two agree bit for bit by construction.
  *
- * Every dense transform goes through axe::GemmEngine::matmul, so the
- * stage reports the modeled systolic-array cycles/time next to the
- * measured wall time — the number the FaaS capacity model (Fig. 3)
- * wants for the NN stage.
+ * The dense transforms run on the one GEMM kernel
+ * (axe/gemm_kernel.hh); the stage reports the GemmEngine's modeled
+ * systolic-array cycles/time for them next to the measured wall time
+ * — the number the FaaS capacity model (Fig. 3) wants for the NN
+ * stage.
  *
  * Brown-out hook: width_scale in (0, 1] computes only a prefix of
  * each layer's output columns (and, chained, of the next layer's
@@ -36,16 +34,6 @@
 namespace lsdgnn {
 namespace gnn {
 
-/** Arithmetic accounting of one forward pass. */
-struct ForwardTelemetry {
-    /** FLOPs executed (matmuls; the dominant term). */
-    std::uint64_t flops = 0;
-    /** Modeled systolic-array cycles for those matmuls. */
-    std::uint64_t gemm_cycles = 0;
-    /** Modeled engine time for those cycles. */
-    Tick gemm_time = 0;
-};
-
 /**
  * Compute root embeddings from pre-gathered features.
  *
@@ -55,7 +43,7 @@ struct ForwardTelemetry {
  *        model.layers().
  * @param levels Per-level feature matrices: levels[0] = roots,
  *        levels[h+1] = frontier[h] (AttributeGatherer layout).
- * @param gemm Engine the dense transforms run on.
+ * @param gemm Engine whose cycle model @p telemetry reports.
  * @param width_scale Layer-width degradation in (0, 1]; 1 = full
  *        width. The effective width is max(1, round(hidden * scale)).
  * @return One embedding row per root; hidden * width_scale columns.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "axe/gemm_kernel.hh"
+
 namespace lsdgnn {
 namespace gnn {
 
@@ -35,15 +37,14 @@ matmul(const Matrix &a, const Matrix &b)
     lsd_assert(a.cols() == b.rows(), "matmul shape mismatch: ",
                a.rows(), "x", a.cols(), " * ", b.rows(), "x", b.cols());
     Matrix out(a.rows(), b.cols());
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        for (std::size_t k = 0; k < a.cols(); ++k) {
-            const float aik = a.at(i, k);
-            if (aik == 0.0f)
-                continue;
-            for (std::size_t j = 0; j < b.cols(); ++j)
-                out.at(i, j) += aik * b.at(k, j);
-        }
-    }
+    axe::GemmArgs args;
+    args.m = static_cast<std::uint32_t>(a.rows());
+    args.k = static_cast<std::uint32_t>(a.cols());
+    args.n = static_cast<std::uint32_t>(b.cols());
+    args.first = {a.data().data(), a.cols(), b.data().data(), b.cols()};
+    args.c = out.data().data();
+    args.ldc = out.cols();
+    axe::gemm(args);
     return out;
 }
 

@@ -65,7 +65,10 @@ class Matrix
     std::vector<float> data_;
 };
 
-/** out = a * b. FLOPs: 2*M*N*K. */
+/**
+ * out = a * b on the one GEMM kernel (axe/gemm_kernel.hh). FLOPs:
+ * 2*M*N*K.
+ */
 Matrix matmul(const Matrix &a, const Matrix &b);
 
 /** In-place row-broadcast bias add. */
