@@ -48,33 +48,27 @@ void
 StatRegistry::add(StatGroup *group)
 {
     lsd_assert(group != nullptr, "null group registered");
-    std::lock_guard<std::mutex> lock(mutex_);
+    const std::unique_lock lock(mutex_);
     groups_.push_back(group);
 }
 
 void
 StatRegistry::remove(StatGroup *group)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const std::unique_lock lock(mutex_);
     auto it = std::find(groups_.begin(), groups_.end(), group);
     if (it != groups_.end())
         groups_.erase(it);
-}
-
-std::vector<StatGroup *>
-StatRegistry::groups() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return groups_;
 }
 
 void
 StatRegistry::forEach(
     const std::function<void(const StatGroup &)> &fn) const
 {
-    // Snapshot first: fn may take arbitrarily long, and holding the
-    // lock across it would stall group construction on worker threads.
-    for (const StatGroup *group : groups())
+    // Visits are short (one export), and a group's destructor must not
+    // free what a visitor is reading, so the lock spans the visit.
+    const std::shared_lock lock(mutex_);
+    for (const StatGroup *group : groups_)
         fn(*group);
 }
 
@@ -133,12 +127,12 @@ StatRegistry::exportJson(std::ostream &os) const
 {
     os << "{\"groups\":[";
     bool first = true;
-    for (const StatGroup *group : groups()) {
+    forEach([&](const StatGroup &group) {
         if (!first)
             os << ",";
-        exportGroupJson(*group, os);
+        exportGroupJson(group, os);
         first = false;
-    }
+    });
     os << "]}";
 }
 
@@ -146,35 +140,34 @@ void
 StatRegistry::exportCsv(std::ostream &os) const
 {
     os << "group,stat,kind,value\n";
-    for (const StatGroup *group : groups()) {
-        group->visitCounters([&](const std::string &name,
-                                 const Counter &c, const std::string &) {
-            os << group->name() << "," << name << ",counter,"
+    forEach([&](const StatGroup &group) {
+        group.visitCounters([&](const std::string &name,
+                                const Counter &c, const std::string &) {
+            os << group.name() << "," << name << ",counter,"
                << c.value() << "\n";
         });
-        group->visitAverages([&](const std::string &name,
-                                 const Average &a, const std::string &) {
-            os << group->name() << "," << name << ",mean,"
+        group.visitAverages([&](const std::string &name,
+                                const Average &a, const std::string &) {
+            os << group.name() << "," << name << ",mean,"
                << jsonNumber(a.mean()) << "\n";
         });
-        group->visitHistograms([&](const std::string &name,
-                                   const Histogram &h,
-                                   const std::string &) {
-            os << group->name() << "," << name << ",p50,"
+        group.visitHistograms([&](const std::string &name,
+                                  const Histogram &h,
+                                  const std::string &) {
+            os << group.name() << "," << name << ",p50,"
                << jsonNumber(h.percentile(0.5)) << "\n";
-            os << group->name() << "," << name << ",p95,"
+            os << group.name() << "," << name << ",p95,"
                << jsonNumber(h.percentile(0.95)) << "\n";
-            os << group->name() << "," << name << ",p99,"
+            os << group.name() << "," << name << ",p99,"
                << jsonNumber(h.percentile(0.99)) << "\n";
         });
-    }
+    });
 }
 
 void
 StatRegistry::reportAll(std::ostream &os) const
 {
-    for (const StatGroup *group : groups())
-        group->report(os);
+    forEach([&](const StatGroup &group) { group.report(os); });
 }
 
 // ---------------------------------------------------------------------

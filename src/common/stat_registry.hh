@@ -17,7 +17,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -34,13 +34,28 @@ namespace stats {
  * "axe.core0"); consumers disambiguate by order or scope their
  * measurement windows.
  *
- * Registration, removal and enumeration are serialized by an internal
- * mutex, so StatGroups may be constructed and destroyed concurrently
- * from worker threads (the service layer builds one group per worker
- * in the worker's own thread). The *values* inside a group stay
- * owner-synchronized: exporting while another thread mutates a
- * counter yields a torn-but-harmless snapshot, so quiesce writers
- * (join workers) before exporting when exact numbers matter.
+ * StatGroups may be constructed and destroyed concurrently from
+ * worker threads (the service layer builds one group per worker in the
+ * worker's own thread) while other threads export. Every visit
+ * (forEach and the exporters built on it, WindowedStats, the flight
+ * recorder) holds a shared lock for its whole duration; add() and
+ * remove() take it exclusively, so a group's destructor waits until no
+ * visitor can still reach it.
+ *
+ * Lifetime rule: a stat must outlive its group. The group only holds
+ * pointers, and stays reachable through the registry until its own
+ * destructor unregisters it, so declare every Counter, Average and
+ * Histogram before the StatGroup it is added to (members are destroyed
+ * in reverse declaration order, locals likewise).
+ *
+ * A visitor must not construct or destroy a StatGroup, nor start
+ * another visit, on the visiting thread: both would wait on the lock
+ * the visit holds.
+ *
+ * The *values* inside a group stay owner-synchronized: exporting while
+ * another thread mutates a counter yields a torn-but-harmless
+ * snapshot, so quiesce writers (join workers) before exporting when
+ * exact numbers matter.
  */
 class StatRegistry
 {
@@ -48,10 +63,11 @@ class StatRegistry
     /** The process-wide registry. */
     static StatRegistry &instance();
 
-    /** Snapshot of the live groups, oldest first. */
-    std::vector<StatGroup *> groups() const;
-
-    /** Invoke @p fn on every live group. */
+    /**
+     * Invoke @p fn on every live group, oldest first, holding the
+     * registry's shared lock throughout: no group visited can be
+     * destroyed before the visit ends.
+     */
     void forEach(const std::function<void(const StatGroup &)> &fn) const;
 
     /**
@@ -78,7 +94,7 @@ class StatRegistry
   private:
     StatRegistry() = default;
 
-    mutable std::mutex mutex_;
+    mutable std::shared_mutex mutex_;
     std::vector<StatGroup *> groups_;
 };
 

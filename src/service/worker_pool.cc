@@ -134,8 +134,8 @@ WorkerPool::run(std::uint32_t worker_id)
             1, session.graph().numNodes() / 2));
     const Batcher batcher(bcfg);
 
+    stats::Counter batches, requests; // outlive their group
     stats::StatGroup group{track_name};
-    stats::Counter batches, requests;
     group.addCounter("batches", &batches, "micro-batches executed");
     group.addCounter("requests", &requests, "requests completed");
 

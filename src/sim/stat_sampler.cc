@@ -28,9 +28,8 @@ StatSampler::watch(const stats::StatGroup &group)
 void
 StatSampler::watchAll()
 {
-    for (const stats::StatGroup *group :
-         stats::StatRegistry::instance().groups())
-        watch(*group);
+    stats::StatRegistry::instance().forEach(
+        [this](const stats::StatGroup &group) { watch(group); });
 }
 
 void

@@ -250,8 +250,8 @@ TEST(StatRegistry, TracksGroupLifetime)
 {
     auto live = [](const std::string &name) {
         std::size_t n = 0;
-        for (const auto *g : stats::StatRegistry::instance().groups())
-            n += (g->name() == name);
+        stats::StatRegistry::instance().forEach(
+            [&](const stats::StatGroup &g) { n += (g.name() == name); });
         return n;
     };
     EXPECT_EQ(live("registry.probe"), 0u);
@@ -301,9 +301,12 @@ TEST(StatRegistry, ConcurrentRegistrationSurvivesStress)
             while (!go.load())
                 std::this_thread::yield();
             for (int i = 0; i < iterations; ++i) {
+                // The counter outlives its group (declared first): the
+                // group stays visible to the exporter until its own
+                // destructor unregisters it.
+                stats::Counter c;
                 stats::StatGroup group(
                     "stress.t" + std::to_string(t));
-                stats::Counter c;
                 group.addCounter("n", &c);
                 c.inc();
             }
@@ -324,8 +327,9 @@ TEST(StatRegistry, ConcurrentRegistrationSurvivesStress)
     exporter.join();
 
     // Every stress group unregistered itself again.
-    for (const auto *g : stats::StatRegistry::instance().groups())
-        EXPECT_EQ(g->name().rfind("stress.", 0), std::string::npos);
+    stats::StatRegistry::instance().forEach([](const stats::StatGroup &g) {
+        EXPECT_EQ(g.name().rfind("stress.", 0), std::string::npos);
+    });
 }
 
 TEST(StatRegistry, ExportCsvHasHeaderAndRows)
