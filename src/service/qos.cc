@@ -49,10 +49,10 @@ struct TenantRegistry::Tenant {
     Tenant(TenantId id, TenantConfig cfg)
         : config(std::move(cfg)),
           bucket(config.rate_qps, config.burst),
+          e2eUs(0.0, 200'000.0, 2000),
           group("service.tenant." +
                 (config.name.empty() ? "t" + std::to_string(id)
-                                     : config.name)),
-          e2eUs(0.0, 200'000.0, 2000)
+                                     : config.name))
     {
         group.addCounter("admitted", &admitted,
                          "submissions past the token bucket");
@@ -76,10 +76,11 @@ struct TenantRegistry::Tenant {
     TenantConfig config;
     bool registered = false; ///< configure()d (weights count) vs lazy
     TokenBucket bucket;
-    stats::StatGroup group;
     stats::Counter admitted, throttled, queueFull, brownoutShed,
         deadlineDropped, completed, degraded;
     stats::Histogram e2eUs;
+    /** Declared after its stats: a stat must outlive its group. */
+    stats::StatGroup group;
 };
 
 TenantRegistry::TenantRegistry() = default;

@@ -20,15 +20,15 @@ constexpr std::uint64_t trace_every = 32;
 } // namespace
 
 ServiceStats::Stage::Stage(const std::string &name)
-    : group("service.stage." + name),
-      us(0.0, lat_hi_us, lat_buckets)
+    : us(0.0, lat_hi_us, lat_buckets),
+      group("service.stage." + name)
 {
     group.addHistogram("us", &us, name + "-stage latency (us)");
 }
 
 ServiceStats::LaneView::LaneView(Lane lane)
-    : group(std::string("service.lane.") + toString(lane)),
-      e2eUs(0.0, lat_hi_us, lat_buckets)
+    : e2eUs(0.0, lat_hi_us, lat_buckets),
+      group(std::string("service.lane.") + toString(lane))
 {
     group.addCounter("completed", &completed,
                      "lane requests answered with a sample");
@@ -54,6 +54,9 @@ ServiceStats::ServiceStats()
     : queueWaitUs(0.0, lat_hi_us, lat_buckets),
       execUs(0.0, lat_hi_us, lat_buckets),
       e2eUs(0.0, lat_hi_us, lat_buckets),
+      cacheHitPct_(0.0, 100.0, 101),
+      fabricHedges_(0.0, 256.0, 64),
+      fabricInflightPeak_(0.0, 65'536.0, 128),
       stageQueue_("queue"),
       stageBatch_("batch"),
       stageSample_("sample"),
@@ -61,10 +64,7 @@ ServiceStats::ServiceStats()
       stageGather_("gather"),
       stageCompute_("compute"),
       laneInteractive_(Lane::Interactive),
-      laneBatch_(Lane::Batch),
-      cacheHitPct_(0.0, 100.0, 101),
-      fabricHedges_(0.0, 256.0, 64),
-      fabricInflightPeak_(0.0, 65'536.0, 128)
+      laneBatch_(Lane::Batch)
 {
     stageCacheGroup_.addHistogram(
         "hit_pct", &cacheHitPct_,

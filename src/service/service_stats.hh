@@ -121,8 +121,8 @@ class ServiceStats
     /** One per-stage breakdown group ("service.stage.<name>"). */
     struct Stage {
         explicit Stage(const std::string &name);
-        stats::StatGroup group;
         stats::Histogram us;
+        stats::StatGroup group;
     };
 
     /**
@@ -133,16 +133,17 @@ class ServiceStats
      */
     struct LaneView {
         explicit LaneView(Lane lane);
-        stats::StatGroup group;
         stats::Counter completed;
         stats::Counter degraded;
         stats::Histogram e2eUs;
+        stats::StatGroup group;
     };
     LaneView &laneLocked(Lane lane);
     const LaneView &laneLocked(Lane lane) const;
 
     mutable std::mutex mutex_;
-    stats::StatGroup group_{"service"};
+    // Every stat is declared before the group it is added to (a stat
+    // must outlive its group); Stage and LaneView do the same inside.
     stats::Counter completed_;
     stats::Counter batches_;
     stats::Average batchRequests;
@@ -150,6 +151,12 @@ class ServiceStats
     stats::Histogram queueWaitUs;
     stats::Histogram execUs;
     stats::Histogram e2eUs;
+    /** Hot-vertex-cache hit percentage per request (0-100). */
+    stats::Histogram cacheHitPct_;
+    /** Async-fabric view per request with remote reads in flight. */
+    stats::Histogram fabricHedges_;
+    stats::Histogram fabricInflightPeak_;
+    stats::StatGroup group_{"service"};
     Stage stageQueue_;
     Stage stageBatch_;
     Stage stageSample_;
@@ -158,13 +165,8 @@ class ServiceStats
     Stage stageCompute_;
     LaneView laneInteractive_;
     LaneView laneBatch_;
-    /** Hot-vertex-cache hit percentage per request (0-100). */
     stats::StatGroup stageCacheGroup_{"service.stage.cache"};
-    stats::Histogram cacheHitPct_;
-    /** Async-fabric view per request with remote reads in flight. */
     stats::StatGroup stageFabricGroup_{"service.stage.fabric"};
-    stats::Histogram fabricHedges_;
-    stats::Histogram fabricInflightPeak_;
 };
 
 } // namespace service

@@ -24,6 +24,7 @@
 #include "common/trace.hh"
 #include "service/load_gen.hh"
 #include "service/service.hh"
+#include "service/service_stats.hh"
 
 namespace lsdgnn {
 namespace {
@@ -640,6 +641,31 @@ TEST(ServiceObservability, LatencyHistogramsExportedThroughRegistry)
     EXPECT_NE(json.find("\"service\""), std::string::npos);
     EXPECT_NE(json.find("\"e2e_us\""), std::string::npos);
     EXPECT_NE(json.find("\"p95\""), std::string::npos);
+}
+
+TEST(ServiceObservability, StatsTeardownWhileExportingIsSafe)
+{
+    // The windowed exporter and the flight recorder visit the registry
+    // from their own threads. Tearing down the service's stats must
+    // unregister every group before freeing the stats it points at
+    // (histogram buckets are heap memory). ASan reports a violation.
+    std::atomic<bool> done{false};
+    std::thread exporter([&done] {
+        while (!done.load()) {
+            std::ostringstream os;
+            stats::StatRegistry::instance().exportJson(os);
+            std::this_thread::sleep_for(50us); // let the teardown in
+        }
+    });
+    for (int i = 0; i < 50; ++i) {
+        service::ServiceStats stats;
+        stats.recordStages(10.0, 10.0, 10.0, 10.0, 4, 2, 1, 3);
+        stats.recordComputeStages(10.0, 10.0);
+        service::TenantRegistry tenants;
+        tenants.recordShed(1, service::ShedCause::QueueFull);
+    }
+    done.store(true);
+    exporter.join();
 }
 
 TEST(ServiceObservability, TraceCarriesWorkerTracksAndCounters)
