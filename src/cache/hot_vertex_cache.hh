@@ -240,7 +240,6 @@ class HotVertexCache
     std::uint64_t windowHits_ = 0;
     double prevWindowRate_ = -1.0; ///< <0 = no completed window yet
 
-    stats::StatGroup group_;
     stats::Counter lookups_;
     stats::Counter hits_;
     stats::Counter misses_;
@@ -251,6 +250,7 @@ class HotVertexCache
     stats::Counter epochBumps_;
     stats::Counter bytesAdmitted_;
     stats::Counter bytesEvicted_;
+    stats::StatGroup group_; ///< after its stats
 
     std::uint64_t bytesGauge_ = 0;   ///< FlightRecorder handle (0 = none)
     std::uint64_t hitRateGauge_ = 0; ///< FlightRecorder handle (0 = none)

@@ -403,7 +403,6 @@ class DistributedBackend : public SamplingBackend
     std::uint64_t inflightGaugeHandle_ = 0;
     std::uint64_t stageAgeGaugeHandle_ = 0;
 
-    stats::StatGroup group_;
     stats::Counter localReads_;
     stats::Counter remoteReads_;
     stats::Counter cached_;
@@ -412,6 +411,7 @@ class DistributedBackend : public SamplingBackend
     stats::Counter degraded_;
     stats::Counter batches_;
     stats::Counter stallTrips_;
+    stats::StatGroup group_; ///< after its stats
 };
 
 } // namespace framework

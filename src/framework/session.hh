@@ -277,9 +277,9 @@ class Session
     Rng modelRng; ///< consumed while building the fixed model
     gnn::GraphSageModel model; ///< fixed 2-layer graphSAGE-max API
     Rng rng_;
-    stats::StatGroup group{"framework.session"};
     stats::Counter batchCount;
     stats::Average batchNodes;
+    stats::StatGroup group{"framework.session"}; ///< after its stats
     /** Declared last: may borrow any of the members above. */
     std::unique_ptr<SamplingBackend> backend_;
 };

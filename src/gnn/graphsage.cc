@@ -100,15 +100,39 @@ class NeighborAggregate
     Aggregator op_;
 };
 
+/**
+ * The child rows one aggregation reads: a dense level matrix (row c at
+ * base + c * cols), or the leaf level read in place from a
+ * node-indexed row table (row c at base + ids[c] * cols).
+ */
+struct ChildRows {
+    const float *base;
+    std::size_t rows;
+    std::size_t cols;
+    std::span<const graph::NodeId> ids; ///< empty = dense
+
+    static ChildRows
+    dense(const Matrix &m)
+    {
+        return {m.data().data(), m.rows(), m.cols(), {}};
+    }
+
+    const float *
+    row(std::size_t c) const
+    {
+        return base + (ids.empty() ? c : std::size_t{ids[c]}) * cols;
+    }
+};
+
 Matrix
-aggregate(std::size_t num_parents, const Matrix &children,
+aggregate(std::size_t num_parents, const ChildRows &children,
           std::span<const std::uint32_t> parent, Aggregator op)
 {
-    lsd_assert(parent.size() == children.rows(),
+    lsd_assert(parent.size() == children.rows,
                "parent index count mismatch");
-    NeighborAggregate agg(num_parents, children.cols(), op);
-    for (std::size_t c = 0; c < children.rows(); ++c)
-        agg.add(parent[c], children.data().data() + c * children.cols());
+    NeighborAggregate agg(num_parents, children.cols, op);
+    for (std::size_t c = 0; c < children.rows; ++c)
+        agg.add(parent[c], children.row(c));
     return agg.finish();
 }
 
@@ -146,14 +170,16 @@ Matrix
 GraphSageModel::forward(const sampling::SampleResult &batch,
                         const std::vector<Matrix> &levels,
                         std::size_t width, const axe::GemmEngine *gemm,
-                        ForwardTelemetry *telemetry) const
+                        ForwardTelemetry *telemetry,
+                        const float *leaf_table) const
 {
     const std::size_t depth = layers_.size();
     lsd_assert(batch.frontier.size() == depth, "batch hops (",
                batch.frontier.size(), ") must equal model layers (",
                depth, ")");
-    lsd_assert(levels.size() == depth + 1,
-               "levels must cover roots + every frontier");
+    lsd_assert(levels.size() == (leaf_table != nullptr ? depth : depth + 1),
+               "levels must cover roots + every frontier, less the "
+               "leaf when it is read from a row table");
     lsd_assert(width >= 1 && width <= hidden_, "width ", width,
                " outside [1, ", hidden_, "]");
 
@@ -167,6 +193,13 @@ GraphSageModel::forward(const sampling::SampleResult &batch,
         const auto level = [&](std::size_t lvl) -> const Matrix & {
             return k == 0 ? levels[lvl] : h[lvl];
         };
+        // Layer 0's deepest aggregation reads the raw leaf level.
+        const auto children = [&](std::size_t lvl) -> ChildRows {
+            if (k == 0 && lvl == depth && leaf_table != nullptr)
+                return {leaf_table, batch.frontier[depth - 1].size(),
+                        attrDim(), batch.frontier[depth - 1]};
+            return ChildRows::dense(level(lvl));
+        };
         const std::size_t levels_out = depth - k;
         std::vector<Matrix> next;
         for (std::size_t lvl = 0; lvl < levels_out; ++lvl) {
@@ -175,7 +208,7 @@ GraphSageModel::forward(const sampling::SampleResult &batch,
             const Matrix agg =
                 k > 0 && deepest
                     ? std::move(folded)
-                    : aggregate(self.rows(), level(lvl + 1),
+                    : aggregate(self.rows(), children(lvl + 1),
                                 batch.parent[lvl], aggregator_);
             if (telemetry != nullptr) {
                 const auto m = static_cast<std::uint32_t>(self.rows());

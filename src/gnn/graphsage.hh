@@ -12,7 +12,12 @@
  * applied per hop from the deepest frontier inward, exactly over the
  * SampleResult trees the sampling substrate produces. There is one
  * implementation of it, GraphSageModel::forward(): embed() and the
- * service's compute stage (minibatch_forward.hh) both call it. FLOPs
+ * service's compute stage (minibatch_forward.hh) both call it. The
+ * raw leaf rows (the deepest frontier's features, which only feed the
+ * first layer's deepest aggregation) come either from a dense level
+ * matrix or, in the service, straight from the gatherer's
+ * node-indexed row table (framework/gather.hh), so the service never
+ * builds the leaf matrix. FLOPs
  * are accounted so the Fig. 3 end-to-end model uses the real
  * arithmetic volume of the configured model.
  */
@@ -106,18 +111,26 @@ class GraphSageModel
      * @param batch The sampled subgraph (parent indices drive
      *        aggregation); batch.frontier.size() must equal layers().
      * @param levels levels[0] = roots, levels[h+1] = frontier[h], one
-     *        attrDim()-wide feature row per node.
+     *        attrDim()-wide feature row per node (the leaf level may
+     *        instead come from @p leaf_table).
      * @param width Output columns per layer, in [1, hiddenDim()]:
      *        every layer uses the top-left corner of its weights, so
      *        a narrower pass is a prefix of the full embedding space.
      * @param gemm Engine whose cycle model @p telemetry reports; may
      *        be null when @p telemetry is.
+     * @param leaf_table Null: levels holds every level, leaf
+     *        (frontier[layers() - 1]) included. Otherwise levels stops
+     *        above the leaf, and the leaf rows are read in place from
+     *        this node-indexed row table (row n = attrDim() floats of
+     *        node n at leaf_table + n * attrDim()), in the same child
+     *        order, so the result is bit-identical to the dense leaf.
      * @return One width-column embedding row per root.
      */
     Matrix forward(const sampling::SampleResult &batch,
                    const std::vector<Matrix> &levels, std::size_t width,
                    const axe::GemmEngine *gemm = nullptr,
-                   ForwardTelemetry *telemetry = nullptr) const;
+                   ForwardTelemetry *telemetry = nullptr,
+                   const float *leaf_table = nullptr) const;
 
     std::size_t layers() const { return layers_.size(); }
     std::size_t hiddenDim() const { return hidden_; }

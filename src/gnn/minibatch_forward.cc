@@ -11,7 +11,7 @@ forwardGathered(const GraphSageModel &model,
                 const sampling::SampleResult &batch,
                 const std::vector<Matrix> &levels,
                 const axe::GemmEngine &gemm, double width_scale,
-                ForwardTelemetry *telemetry)
+                ForwardTelemetry *telemetry, const float *leaf_table)
 {
     lsd_assert(width_scale > 0.0 && width_scale <= 1.0,
                "width_scale must be in (0, 1]");
@@ -22,7 +22,8 @@ forwardGathered(const GraphSageModel &model,
             : std::max<std::size_t>(
                   1, static_cast<std::size_t>(std::lround(
                          static_cast<double>(hidden) * width_scale)));
-    return model.forward(batch, levels, width, &gemm, telemetry);
+    return model.forward(batch, levels, width, &gemm, telemetry,
+                         leaf_table);
 }
 
 double

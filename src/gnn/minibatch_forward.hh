@@ -9,6 +9,11 @@
  * stage. forwardGathered() consumes the per-level matrices an
  * AttributeGatherer produced and runs the same GraphSageModel::forward()
  * that embed() runs, so the two agree bit for bit by construction.
+ * The leaf level (deepest frontier) is either the last dense matrix
+ * or, when the gatherer left it in its row table
+ * (LeafRows::InTable, the service's path), read in place from that
+ * table by node id; the values and the summation order are the same
+ * either way.
  *
  * The dense transforms run on the one GEMM kernel
  * (axe/gemm_kernel.hh); the stage reports the GemmEngine's modeled
@@ -46,6 +51,9 @@ namespace gnn {
  * @param gemm Engine whose cycle model @p telemetry reports.
  * @param width_scale Layer-width degradation in (0, 1]; 1 = full
  *        width. The effective width is max(1, round(hidden * scale)).
+ * @param leaf_table Null when @p levels holds the leaf level; else the
+ *        node-indexed row table the leaf rows are read from, and
+ *        @p levels stops above the leaf (GatheredFeatures::leaf_table).
  * @return One embedding row per root; hidden * width_scale columns.
  */
 Matrix forwardGathered(const GraphSageModel &model,
@@ -53,7 +61,8 @@ Matrix forwardGathered(const GraphSageModel &model,
                        const std::vector<Matrix> &levels,
                        const axe::GemmEngine &gemm,
                        double width_scale = 1.0,
-                       ForwardTelemetry *telemetry = nullptr);
+                       ForwardTelemetry *telemetry = nullptr,
+                       const float *leaf_table = nullptr);
 
 /**
  * In-batch link-prediction loss over root embeddings: every root's

@@ -7,9 +7,15 @@
  * distributed store. For the functional reproduction we keep the
  * attribute *interface* (fetch a node's feature vector, account the
  * bytes moved) but generate the values procedurally: each float is a
- * deterministic hash of (node id, dimension), so no RAM is spent
- * holding features while every fetch still produces stable, realistic
- * data for the GNN stage.
+ * deterministic hash of (node id, dimension), so the store itself
+ * holds no features and paper-scale figures keep their analytic
+ * footprint. The service's gather stage does hold rows: each
+ * framework::AttributeGatherer fills one node-indexed table from this
+ * store on its first gather (nodes x attr_len x 4 B, about 0.5 MB for
+ * the scaled service graphs) and copies rows out of it, because
+ * hashing every float on every fetch made gather the slowest stage.
+ * value() stays the only generator, so a table row is bit-identical
+ * to a fetch.
  */
 
 #ifndef LSDGNN_GRAPH_ATTRIBUTES_HH

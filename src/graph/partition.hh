@@ -48,6 +48,9 @@ class Partitioner
 
     ServerId numServers() const { return servers; }
 
+    /** Node count of the partitioned graph (valid IDs: [0, numNodes)). */
+    std::uint64_t numNodes() const { return nodes; }
+
     /**
      * Owning server of @p node.
      *

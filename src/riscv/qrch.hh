@@ -93,10 +93,10 @@ class QrchHub
     std::vector<Consumer> consumers;
     std::uint32_t depth_;
     std::function<Tick()> clock;
-    stats::StatGroup group{"riscv.qrch"};
     stats::Counter enqueues;
     stats::Counter dequeues;
     stats::Histogram depths;
+    stats::StatGroup group{"riscv.qrch"}; ///< after its stats
 };
 
 } // namespace riscv

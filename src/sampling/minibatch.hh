@@ -234,9 +234,9 @@ class MiniBatchSampler
     const graph::Partitioner *part;
     TrafficStats traffic_;
     SampleScratch scratch_;
-    stats::StatGroup group{"sampling.coalesce"};
     stats::Counter coalesceLookups; ///< raw GetAttribute accesses
     stats::Counter coalesceHits;    ///< duplicates absorbed by dedup
+    stats::StatGroup group{"sampling.coalesce"}; ///< after its stats
 };
 
 /** Size in bytes of one graph-structure pointer/ID word. */

@@ -130,7 +130,10 @@ struct ComputePayload {
     std::vector<std::uint32_t> root_counts;
     /** Merged sampled subgraph. */
     sampling::SampleResult batch;
-    /** Per-level feature matrices the gather stage materialized. */
+    /**
+     * Feature rows the gather stage materialized: dense roots .. hop
+     * L-1, leaf rows read in place from the worker's row table.
+     */
     framework::GatheredFeatures features;
     framework::GatherTelemetry gather_telemetry;
     framework::SampleTelemetry sample_telemetry;

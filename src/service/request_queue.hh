@@ -236,10 +236,10 @@ class RequestQueue
     std::atomic<int> starvedLane_{-1};
     std::uint64_t flightGauge_ = 0;
 
-    stats::StatGroup group{"service.queue"};
     stats::Counter accepted_, rejected_, dropped_, cancelled_;
     stats::Counter starvationTrips_;
     stats::Average depthAtAdmit;
+    stats::StatGroup group{"service.queue"}; ///< after its stats
 };
 
 } // namespace service

@@ -112,7 +112,7 @@ WorkerPool::run(std::uint32_t worker_id)
     const ComputeRuntime *compute = config_.compute;
     std::optional<framework::AttributeGatherer> gatherer;
     if (compute != nullptr) {
-        framework::AttributeGatherer::FabricModel fabric;
+        framework::GatherFabricModel fabric;
         fabric.gbps = compute->config().gather_gbps;
         fabric.rtt_us = compute->config().gather_rtt_us;
         if (const auto &store = session.distributedStore())
@@ -134,10 +134,16 @@ WorkerPool::run(std::uint32_t worker_id)
             1, session.graph().numNodes() / 2));
     const Batcher batcher(bcfg);
 
-    stats::Counter batches, requests; // outlive their group
+    // outlive their group
+    stats::Counter batches, requests, gatherRows, tableBytes;
     stats::StatGroup group{track_name};
     group.addCounter("batches", &batches, "micro-batches executed");
     group.addCounter("requests", &requests, "requests completed");
+    group.addCounter("gather_rows", &gatherRows,
+                     "attribute rows copied by the gather stage");
+    group.addCounter("attr_table_bytes", &tableBytes,
+                     "bytes of the gatherer's row table (0 until the "
+                     "first compute job fills it)");
 
     // Stage B: complete one compute-kind payload — forward pass on
     // the shared model/GEMM engine, split embeddings on root ranges,
@@ -149,7 +155,8 @@ WorkerPool::run(std::uint32_t worker_id)
         gnn::ForwardTelemetry forward;
         gnn::Matrix emb = gnn::forwardGathered(
             compute->model(), p.batch, p.features.levels,
-            compute->gemm(), p.width_scale, &forward);
+            compute->gemm(), p.width_scale, &forward,
+            p.features.leaf_table);
         const auto exec_end = Clock::now();
         const double compute_us = elapsedUs(compute_start, exec_end);
         computeBusyNs_.fetch_add(toNs(compute_us),
@@ -480,8 +487,15 @@ WorkerPool::run(std::uint32_t worker_id)
         // off the time the residual remote bytes would need on the
         // configured gather bandwidth, minus what the CPU part
         // already took — the DMA wait the compute stage overlaps.
+        // Only the levels that feed a GEMM are copied; the forward
+        // reads the leaf rows from the gatherer's table, which the
+        // mailbox handoff publishes to the compute thread.
         gatherer->gather(payload->batch, payload->features,
-                         &payload->gather_telemetry);
+                         &payload->gather_telemetry,
+                         framework::LeafRows::InTable);
+        gatherRows.inc(payload->gather_telemetry.rows);
+        if (tableBytes.value() == 0)
+            tableBytes.inc(gatherer->table().size_bytes());
         const auto gather_cpu_end = Clock::now();
         const double gather_cpu_us =
             elapsedUs(sample_end, gather_cpu_end);

@@ -22,6 +22,7 @@
 
 #include "common/stat_registry.hh"
 #include "common/trace.hh"
+#include "riscv/qrch.hh"
 #include "service/load_gen.hh"
 #include "service/service.hh"
 #include "service/service_stats.hh"
@@ -663,6 +664,48 @@ TEST(ServiceObservability, StatsTeardownWhileExportingIsSafe)
         stats.recordComputeStages(10.0, 10.0);
         service::TenantRegistry tenants;
         tenants.recordShed(1, service::ShedCause::QueueFull);
+    }
+    done.store(true);
+    exporter.join();
+}
+
+TEST(ServiceObservability, StatOwnersTeardownWhileExportingIsSafe)
+{
+    // Same hazard as above for every other owner of a StatGroup: a
+    // distributed Session (framework::Session, MiniBatchSampler,
+    // DistributedBackend, the shard's HotVertexCache), a RequestQueue
+    // and a QrchHub (whose occupancy histogram is heap memory). Each
+    // declares its stats before its group, so the group leaves the
+    // registry before any stat it points at is destroyed. One shard:
+    // with peers the session would also build mof::ShardChannels,
+    // sim::Components whose stats live in the derived class while the
+    // base class owns the group, which member order cannot fix.
+    std::atomic<bool> done{false};
+    std::thread exporter([&done] {
+        while (!done.load()) {
+            std::ostringstream os;
+            stats::StatRegistry::instance().exportJson(os);
+            std::this_thread::sleep_for(50us);
+        }
+    });
+    framework::SessionConfig scfg;
+    scfg.dataset = "ss";
+    scfg.scale_divisor = 40'000;
+    scfg.num_servers = 1;
+    scfg.backend = framework::Backend::Distributed;
+    scfg.distributed.num_shards = 1;
+    scfg.distributed.cache_mb = 0.25;
+    sampling::SamplePlan plan;
+    plan.batch_size = 8;
+    plan.fanouts = {4, 4};
+    for (int i = 0; i < 10; ++i) {
+        framework::Session session(scfg);
+        (void)session.sampleBatch(plan);
+    }
+    for (int i = 0; i < 50; ++i) {
+        service::RequestQueue queue(service::RequestQueueConfig{});
+        riscv::QrchHub hub(4, 8);
+        hub.enqueue(0, 1, 2);
     }
     done.store(true);
     exporter.join();
