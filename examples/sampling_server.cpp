@@ -49,14 +49,25 @@ printWindow(const char *phase, const lsdgnn::stats::WindowReport &w)
 {
     using lsdgnn::TextTable;
     TextTable table;
-    table.header({"stage", "n", "p50 us", "p99 us"});
-    for (const char *stage :
-         {"queue", "batch", "sample", "gather", "compute", "remote"}) {
-        const auto *h = w.findHistogram(
-            std::string("service.stage.") + stage, "us");
-        if (h == nullptr)
+    // The named stages of a request, in order (they sum to its
+    // end-to-end time), then the remote wait inside sampling. Means
+    // come from the exact per-stage sums, percentiles from the
+    // histograms; "cpu us" is the serving threads' CPU in the stage.
+    table.header({"stage", "n", "mean us", "cpu us", "p50 us",
+                  "p99 us"});
+    for (const char *stage : {"queue", "batch", "handoff", "sample",
+                              "gather", "compute", "reply", "remote"}) {
+        const std::string group = std::string("service.stage.") + stage;
+        const auto *h = w.findHistogram(group, "us");
+        if (h == nullptr || h->n == 0)
             continue;
+        const auto mean = [&](const char *stat) {
+            return static_cast<double>(w.counterDelta(group, stat)) /
+                   1e3 / static_cast<double>(h->n);
+        };
         table.row({stage, TextTable::num(h->n),
+                   TextTable::num(mean("wall_ns"), 1),
+                   TextTable::num(mean("cpu_ns"), 1),
                    TextTable::num(h->percentile(0.5), 1),
                    TextTable::num(h->percentile(0.99), 1)});
     }

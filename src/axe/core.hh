@@ -65,6 +65,9 @@ class AxeCore : public sim::Component
             fabric::MemoryPort &remote, fabric::SimLink &output,
             Rng rng, std::uint32_t self_node = 0);
 
+    /** Detaches the stat group before this class's stats die. */
+    ~AxeCore() override { statGroup.detach(); }
+
     /**
      * Start one batch task.
      *

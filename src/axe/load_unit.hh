@@ -62,6 +62,9 @@ class LoadUnit : public sim::Component
              fabric::MemoryPort &local, fabric::MemoryPort &remote,
              const AxeConfig &config);
 
+    /** Detaches the stat group before this class's stats die. */
+    ~LoadUnit() override { statGroup.detach(); }
+
     /**
      * Submit a load. Accepted unconditionally into the issue queue;
      * the scoreboard gates actual issue.

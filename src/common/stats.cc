@@ -111,6 +111,12 @@ StatGroup::StatGroup(std::string name) : name_(std::move(name))
 
 StatGroup::~StatGroup()
 {
+    detach();
+}
+
+void
+StatGroup::detach()
+{
     StatRegistry::instance().remove(this);
 }
 

@@ -212,6 +212,15 @@ class StatGroup
     explicit StatGroup(std::string name);
     ~StatGroup();
 
+    /**
+     * Leave the StatRegistry now rather than at destruction; waits
+     * until no exporter can still reach the group. Idempotent. For a
+     * group that outlives the stats it holds: a sim::Component's group
+     * lives in the base class, its stats in the derived one, so the
+     * derived destructor detaches the group first.
+     */
+    void detach();
+
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
 

@@ -34,6 +34,9 @@ class SimLink : public sim::Component, public MemoryPort
 
     SimLink(sim::EventQueue &eq, LinkParams params);
 
+    /** Detaches the stat group before this class's stats die. */
+    ~SimLink() override { statGroup.detach(); }
+
     const LinkParams &params() const { return params_; }
 
     /**

@@ -50,6 +50,9 @@ class MofEndpoint : public sim::Component, public fabric::MemoryPort
                 EndpointParams params = EndpointParams{},
                 const std::string &name = "mof.endpoint");
 
+    /** Detaches the stat group before this class's stats die. */
+    ~MofEndpoint() override { statGroup.detach(); }
+
     /** Stage one read; completion fires when its response lands. */
     void request(std::uint64_t bytes, std::uint32_t dest,
                  Callback done) override;

@@ -90,6 +90,9 @@ class ReliableChannel : public sim::Component
                     std::string name = "mof.reliable",
                     FailFn on_fail = nullptr);
 
+    /** Detaches the stat group before this class's stats die. */
+    ~ReliableChannel() override { statGroup.detach(); }
+
     /** Queue one package of @p bytes for reliable delivery. */
     void send(std::uint32_t bytes);
 

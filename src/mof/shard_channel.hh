@@ -135,6 +135,9 @@ class ShardChannel : public sim::Component
     ShardChannel(sim::EventQueue &eq, ShardChannelParams params,
                  std::uint32_t self_shard, std::uint32_t peer_shard);
 
+    /** Detaches the stat group before this class's stats die. */
+    ~ShardChannel() override { statGroup.detach(); }
+
     /** Install the out-of-order completion sink. */
     void setCompletion(CompletionFn fn) { completion_ = std::move(fn); }
 

@@ -15,17 +15,14 @@ Batcher::Batcher(BatcherConfig config) : config_(config)
 }
 
 bool
-Batcher::collect(RequestQueue &queue, std::vector<Request> &out,
-                 Clock::time_point *first_pop) const
+Batcher::collect(RequestQueue &queue, std::vector<Request> &out) const
 {
     while (true) {
         out.clear();
         auto first = queue.pop();
         if (!first)
             return false;
-        const auto popped_at = Clock::now();
-        if (first_pop != nullptr)
-            *first_pop = popped_at;
+        const auto popped_at = first->popped_at;
         std::uint64_t roots = first->plan.batch_size;
         // EDF mode: the queue pops earliest-deadline-first, so the
         // first rider's deadline is the batch's drop-dead point. The
@@ -52,8 +49,10 @@ Batcher::collect(RequestQueue &queue, std::vector<Request> &out,
             if (config_.window.count() == 0 ||
                 Clock::now() >= window_end)
                 break;
+            // Age only while every other worker is busy: the wait
+            // also ends when a peer idles in pop().
             if (!queue.waitForArrival(seen, window_end))
-                break; // aged out, or the queue closed
+                break; // aged out, a worker is idle, or closed
         }
 
         if (config_.deadline_aware) {

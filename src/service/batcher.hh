@@ -10,10 +10,18 @@
  * `sampleBatch` call amortizes per-command overhead (and, on the
  * AxeOffload backend, per-Table-4-command cost) across every rider.
  *
- * A micro-batch closes when any of three limits is hit:
+ * A micro-batch closes when any of four limits is hit:
  *   - `max_requests` riders collected,
  *   - `max_roots` total merged batch size reached,
- *   - the aging `window` since the first (oldest) rider expired.
+ *   - the aging `window` since the first (oldest) rider expired,
+ *   - no compatible rider is queued while another worker is idle.
+ *
+ * The last rule makes batching work-conserving: the window is an upper
+ * bound that applies only while every other worker is busy. A batch
+ * that could start on an idle worker never waits for company, and an
+ * aging batch closes as soon as a peer goes idle (RequestQueue counts
+ * the workers blocked in pop()). With one worker, or with every worker
+ * busy, batches age for the full window as before.
  *
  * Merging concatenates root ranges; splitting walks the merged
  * result's parent chains and hands every frontier entry back to the
@@ -56,7 +64,11 @@ struct BatcherConfig {
     std::uint32_t max_requests = 8;
     /** Cap on the merged batch_size (sum of rider batch sizes). */
     std::uint64_t max_roots = 4096;
-    /** Aging window: how long the first rider waits for company. */
+    /**
+     * Aging window: the longest the first rider waits for company.
+     * It applies only while every other worker is busy; a batch stops
+     * aging as soon as another worker is idle (see the file comment).
+     */
     std::chrono::microseconds window{200};
     /**
      * Deadline-aware (EDF) batch formation. The first rider popped is
@@ -82,14 +94,10 @@ class Batcher
     /**
      * Blocking: collect one micro-batch from @p queue into @p out
      * (cleared first). Returns false only when the queue is closed
-     * and drained; otherwise at least one request is delivered.
-     *
-     * @param first_pop Optional out-param: when the first rider was
-     *        popped — the start of the batch-forming (aging) stage,
-     *        for per-stage latency attribution.
+     * and drained; otherwise at least one request is delivered. Each
+     * rider carries the time it left the queue (Request::popped_at).
      */
-    bool collect(RequestQueue &queue, std::vector<Request> &out,
-                 Clock::time_point *first_pop = nullptr) const;
+    bool collect(RequestQueue &queue, std::vector<Request> &out) const;
 
     /** One plan covering every rider (batch_size = sum of riders). */
     static sampling::SamplePlan merge(const std::vector<Request> &batch);

@@ -40,6 +40,7 @@
 #include "framework/gather.hh"
 #include "gnn/graphsage.hh"
 #include "service/request.hh"
+#include "service/stamps.hh"
 
 namespace lsdgnn {
 namespace service {
@@ -144,11 +145,8 @@ struct ComputePayload {
     bool browned_out = false;
     /** Layer-width scale the forward pass must apply (brown-out). */
     double width_scale = 1.0;
-    /** Stage-A timing, for the reply's per-stage split. */
-    Clock::time_point exec_start{};
-    double batch_us = 0.0;
-    double sample_us = 0.0;
-    double gather_us = 0.0;
+    /** Stage-A stamps; stage B adds compute start and end. */
+    BatchStamps stamps;
 
     /** Reset per-batch state, keeping every buffer's capacity. */
     void
@@ -162,7 +160,7 @@ struct ComputePayload {
         exec_status = StatusCode::Ok;
         browned_out = false;
         width_scale = 1.0;
-        batch_us = sample_us = gather_us = 0.0;
+        stamps = {};
     }
 };
 

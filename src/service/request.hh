@@ -177,6 +177,43 @@ struct SubmitOptions {
     std::uint64_t seed = 0;
 };
 
+/**
+ * One request's time, split into the named stages it crosses, in
+ * order. For Reply::stages each is the wall-clock interval between two
+ * of the request's stamps:
+ *
+ *  - queue:   enqueue -> popped off the admission queue
+ *  - batch:   popped -> batch close (the aging window, if any)
+ *  - handoff: batch close -> sampling start (plan merge, brown-out
+ *             check and, for compute kinds, waiting for a free
+ *             payload buffer), plus gather end -> compute start (the
+ *             mailbox to the compute thread)
+ *  - sample:  backend sampling of the merged plan
+ *  - gather:  attribute-row gather (compute kinds)
+ *  - compute: GraphSAGE forward (compute kinds)
+ *  - reply:   end of the last stage -> this rider's reply (splitting
+ *             the merged result, and completing the riders ahead of
+ *             it)
+ *
+ * The intervals are contiguous, so their total() is submit-to-reply.
+ */
+struct StageTimes {
+    double queue_us = 0.0;
+    double batch_us = 0.0;
+    double handoff_us = 0.0;
+    double sample_us = 0.0;
+    double gather_us = 0.0;
+    double compute_us = 0.0;
+    double reply_us = 0.0;
+
+    double
+    total() const
+    {
+        return queue_us + batch_us + handoff_us + sample_us +
+               gather_us + compute_us + reply_us;
+    }
+};
+
 /** What the client's future resolves to. */
 struct Reply {
     /** Terminal outcome; see hasBatch() for payload validity. */
@@ -220,17 +257,27 @@ struct Reply {
      * for shed requests. Riders of one batch share this value.
      */
     std::uint64_t batch_span_id = 0;
-    double queue_us = 0.0; ///< admission-queue wait
     /**
-     * Total execution (shared by the batch): the sample stage alone
-     * for Sample jobs, sample + gather + compute for compute kinds.
+     * Where this request's time went: seven contiguous wall-clock
+     * stages between its stamps (see StageTimes), summing to e2e_us.
      */
-    double exec_us = 0.0;
-    double e2e_us = 0.0;   ///< submit -> completion
-    /** Per-stage split of exec_us (gather/compute zero for Sample). */
-    double sample_us = 0.0;  ///< backend sampling execution
-    double gather_us = 0.0;  ///< attribute-row gather (compute kinds)
-    double compute_us = 0.0; ///< GNN forward pass (compute kinds)
+    StageTimes stages;
+    /**
+     * Thread CPU time the serving threads spent in each stage. The
+     * queue stage has none; batch to compute are shared by the
+     * riders of one micro-batch; reply is this rider's own.
+     */
+    StageTimes cpu;
+    /** Submit -> reply (the sum of stages). */
+    double e2e_us = 0.0;
+    /**
+     * Time this request's path spent blocked on the RequestQueue's
+     * and the ServiceStats' mutexes: its own admission, plus what the
+     * serving threads waited on them for its batch up to its reply.
+     * These are parts of the stages above, not extra stages.
+     */
+    double queue_lock_us = 0.0;
+    double stats_lock_us = 0.0;
     /** Tenant the request billed against (echo of SubmitOptions). */
     TenantId tenant = 0;
     /** Lane the request rode (echo of SubmitOptions). */
@@ -270,6 +317,10 @@ struct Request {
     trace::TraceContext trace;
     /** Stamped by the queue on admission. */
     Clock::time_point enqueued_at{};
+    /** Stamped by the queue when a worker takes the request. */
+    Clock::time_point popped_at{};
+    /** Time push() blocked on the queue's mutex, nanoseconds. */
+    std::uint64_t admit_lock_ns = 0;
     /** Drop-dead time; time_point::max() means no deadline. */
     Clock::time_point deadline = Clock::time_point::max();
     std::uint64_t id = 0;

@@ -53,6 +53,10 @@ RequestQueue::RequestQueue(RequestQueueConfig config)
                      "lane-starvation watchdog firings");
     group.addAverage("depth_at_admit", &depthAtAdmit,
                      "queue depth seen by each admitted request");
+    group.addCounter("lock_contended", &mutex_.contended(),
+                     "queue-mutex acquisitions that blocked");
+    group.addCounter("lock_wait_ns", &mutex_.waitNs(),
+                     "time blocked acquiring the queue mutex (ns)");
     flightGauge_ = trace::FlightRecorder::instance().registerGauge(
         "service.queue.depth", [this] {
             return static_cast<double>(depth());
@@ -159,8 +163,8 @@ RequestQueue::shedLocked(Request &&req, Status status, ShedCause cause,
     reply.tenant = req.tenant;
     reply.lane = req.lane;
     reply.shed_cause = cause;
-    reply.queue_us = elapsedUs(req.enqueued_at, now);
-    reply.e2e_us = reply.queue_us;
+    reply.stages.queue_us = elapsedUs(req.enqueued_at, now);
+    reply.e2e_us = reply.stages.queue_us;
     req.promise.set_value(std::move(reply));
 }
 
@@ -240,7 +244,9 @@ RequestQueue::push(Request &&req)
 {
     const auto now = Clock::now();
     const std::size_t lane = laneOf(req);
-    std::unique_lock<std::mutex> lock(mutex_);
+    const std::uint64_t waited_before = threadLockWaits().queue_ns;
+    auto lock = mutex_.lock();
+    req.admit_lock_ns = threadLockWaits().queue_ns - waited_before;
     const std::size_t total = lanes_[0].size() + lanes_[1].size();
     const char *refusal = nullptr;
     if (closed_) {
@@ -292,13 +298,14 @@ RequestQueue::push(Request &&req)
     traceDepthLocked(now);
     lock.unlock();
     cv_.notify_one();
+    arrivalCv_.notify_all();
     return true;
 }
 
 std::optional<Request>
 RequestQueue::pop()
 {
-    std::unique_lock<std::mutex> lock(mutex_);
+    auto lock = mutex_.lock();
     while (true) {
         const auto now = Clock::now();
         const int lane = pickLaneLocked();
@@ -327,6 +334,7 @@ RequestQueue::pop()
             }
             Request req = std::move(*it);
             dq.erase(it);
+            req.popped_at = now;
             releaseTenantSlotLocked(req);
             checkStarvationLocked(static_cast<std::size_t>(lane), now);
             traceDepthLocked(now);
@@ -336,7 +344,12 @@ RequestQueue::pop()
         }
         if (closed_)
             return std::nullopt;
+        // This consumer is idle: a batch aging elsewhere must close
+        // now rather than wait for company (work conservation).
+        ++idlePoppers_;
+        arrivalCv_.notify_all();
         cv_.wait(lock);
+        --idlePoppers_;
     }
 }
 
@@ -347,7 +360,7 @@ RequestQueue::popCompatible(const Request &proto,
 {
     const auto now = Clock::now();
     const std::size_t lane = laneOf(proto);
-    std::unique_lock<std::mutex> lock(mutex_);
+    auto lock = mutex_.lock();
     // Sweep first so candidate selection never walks over corpses
     // (and deque::erase never invalidates the chosen iterator).
     sweepExpiredLocked(lane, now);
@@ -376,6 +389,7 @@ RequestQueue::popCompatible(const Request &proto,
     }
     Request req = std::move(*best);
     dq.erase(best);
+    req.popped_at = now;
     releaseTenantSlotLocked(req);
     traceDepthLocked(now);
     lock.unlock();
@@ -388,7 +402,7 @@ RequestQueue::shed(Request &&req, Status status, ShedCause cause)
 {
     const auto now = Clock::now();
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        const auto lock = mutex_.lock();
         shedLocked(std::move(req), std::move(status), cause, now);
     }
     maybeTrip();
@@ -398,9 +412,10 @@ bool
 RequestQueue::waitForArrival(std::uint64_t seen_arrivals,
                              Clock::time_point until)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (arrivals_ <= seen_arrivals && !closed_) {
-        if (cv_.wait_until(lock, until) == std::cv_status::timeout)
+    auto lock = mutex_.lock();
+    while (arrivals_ <= seen_arrivals && !closed_ && idlePoppers_ == 0) {
+        if (arrivalCv_.wait_until(lock, until) ==
+            std::cv_status::timeout)
             break;
     }
     return arrivals_ > seen_arrivals;
@@ -410,10 +425,11 @@ void
 RequestQueue::close()
 {
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        const auto lock = mutex_.lock();
         closed_ = true;
     }
     cv_.notify_all();
+    arrivalCv_.notify_all();
 }
 
 void
@@ -421,7 +437,7 @@ RequestQueue::cancelPending()
 {
     std::deque<Request> orphans;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        const auto lock = mutex_.lock();
         for (auto &dq : lanes_) {
             for (Request &req : dq)
                 orphans.push_back(std::move(req));
@@ -438,40 +454,48 @@ RequestQueue::cancelPending()
         reply.span_id = req.trace.span_id;
         reply.tenant = req.tenant;
         reply.lane = req.lane;
-        reply.queue_us = elapsedUs(req.enqueued_at, now);
-        reply.e2e_us = reply.queue_us;
+        reply.stages.queue_us = elapsedUs(req.enqueued_at, now);
+        reply.e2e_us = reply.stages.queue_us;
         cancelled_.inc();
         req.promise.set_value(std::move(reply));
     }
     cv_.notify_all();
+    arrivalCv_.notify_all();
 }
 
 bool
 RequestQueue::closed() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto lock = mutex_.lock();
     return closed_;
 }
 
 std::size_t
 RequestQueue::depth() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto lock = mutex_.lock();
     return lanes_[0].size() + lanes_[1].size();
 }
 
 std::size_t
 RequestQueue::laneDepth(Lane lane) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto lock = mutex_.lock();
     return lanes_[static_cast<std::size_t>(lane)].size();
 }
 
 std::uint64_t
 RequestQueue::arrivals() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto lock = mutex_.lock();
     return arrivals_;
+}
+
+std::uint32_t
+RequestQueue::idlePoppers() const
+{
+    const auto lock = mutex_.lock();
+    return idlePoppers_;
 }
 
 } // namespace service

@@ -33,8 +33,15 @@
  *
  * A starvation watchdog trips the flight recorder when a non-empty
  * lane goes unserved past a threshold (a weighted-fair bug, or a
- * worker wedge). All requests are stamped with their admission time
- * so the worker pool can attribute queue-wait vs execution latency.
+ * worker wedge). All requests are stamped with their admission and
+ * pop times so the worker pool can attribute queue wait, batch
+ * forming and execution (stamps.hh).
+ *
+ * Work conservation: the queue counts the consumers blocked in pop()
+ * on an empty queue. A batch that is aging for riders in
+ * waitForArrival() stops waiting as soon as that count is above zero
+ * — including when a peer goes idle partway through the wait — so a
+ * batch ages only while every other worker is busy.
  *
  * With QosConfig::enabled = false the queue collapses to the pre-QoS
  * engine exactly: one FIFO lane, no EDF, no lane budgets.
@@ -53,6 +60,7 @@
 
 #include "common/stats.hh"
 #include "service/request.hh"
+#include "service/stamps.hh"
 
 namespace lsdgnn {
 namespace service {
@@ -150,9 +158,12 @@ class RequestQueue
 
     /**
      * Block until the arrival counter exceeds @p seen_arrivals, the
-     * queue closes, or @p until passes. Returns true when a new
-     * arrival happened (the caller should rescan), false on timeout
-     * or close. Used by the batcher's aging window.
+     * queue closes, @p until passes, or another consumer is idle in
+     * pop() (at the call or partway through the wait). Returns true
+     * when a new arrival happened (the caller should rescan), false
+     * on timeout, close or an idle consumer. Used by the batcher's
+     * aging window: a batch never waits for company while a worker
+     * that could run it sits idle.
      */
     bool waitForArrival(std::uint64_t seen_arrivals,
                         Clock::time_point until);
@@ -180,6 +191,9 @@ class RequestQueue
 
     /** Requests ever admitted (the batcher's rescan cursor). */
     std::uint64_t arrivals() const;
+
+    /** Consumers currently blocked in pop() on an empty queue. */
+    std::uint32_t idlePoppers() const;
 
     /** "service.queue" statistics (accepted/rejected/dropped/...). */
     const stats::StatGroup &stats() const { return group; }
@@ -217,8 +231,13 @@ class RequestQueue
     /** Batch lane's occupancy bound (weighted share of capacity). */
     std::size_t batchCap_ = 0;
 
-    mutable std::mutex mutex_;
+    mutable TimedMutex mutex_{LockSite::Queue};
+    /** pop() waiters: a push wakes one. */
     std::condition_variable cv_;
+    /** waitForArrival() waiters: a push or an idle popper wakes all. */
+    std::condition_variable arrivalCv_;
+    /** Consumers blocked in pop() (work conservation, see above). */
+    std::uint32_t idlePoppers_ = 0;
     std::deque<Request> lanes_[lane_count];
     /** Queued Batch-lane requests per tenant (share enforcement). */
     std::unordered_map<TenantId, std::size_t> batchTenantDepth_;

@@ -19,11 +19,25 @@ constexpr std::uint64_t trace_every = 32;
 
 } // namespace
 
-ServiceStats::Stage::Stage(const std::string &name)
+ServiceStats::Stage::Stage(const std::string &name, bool cpu)
     : us(0.0, lat_hi_us, lat_buckets),
       group("service.stage." + name)
 {
     group.addHistogram("us", &us, name + "-stage latency (us)");
+    group.addCounter("wall_ns", &wallNs,
+                     name + "-stage wall time, summed over requests");
+    if (cpu)
+        group.addCounter("cpu_ns", &cpuNs,
+                         name + "-stage thread CPU time, summed over "
+                                "requests");
+}
+
+void
+ServiceStats::Stage::sample(double wall_us, double cpu_us)
+{
+    us.sample(wall_us);
+    wallNs.inc(toNs(wall_us));
+    cpuNs.inc(toNs(cpu_us));
 }
 
 ServiceStats::LaneView::LaneView(Lane lane)
@@ -57,12 +71,14 @@ ServiceStats::ServiceStats()
       cacheHitPct_(0.0, 100.0, 101),
       fabricHedges_(0.0, 256.0, 64),
       fabricInflightPeak_(0.0, 65'536.0, 128),
-      stageQueue_("queue"),
-      stageBatch_("batch"),
-      stageSample_("sample"),
-      stageRemote_("remote"),
-      stageGather_("gather"),
-      stageCompute_("compute"),
+      stageQueue_("queue", false),
+      stageBatch_("batch", true),
+      stageHandoff_("handoff", true),
+      stageSample_("sample", true),
+      stageRemote_("remote", false),
+      stageGather_("gather", true),
+      stageCompute_("compute", true),
+      stageReply_("reply", true),
       laneInteractive_(Lane::Interactive),
       laneBatch_(Lane::Batch)
 {
@@ -87,6 +103,16 @@ ServiceStats::ServiceStats()
     group_.addHistogram("exec_us", &execUs, "backend execution (us)");
     group_.addHistogram("e2e_us", &e2eUs,
                         "submit-to-completion latency (us)");
+    group_.addCounter("lock_contended", &mutex_.contended(),
+                      "stats-mutex acquisitions that blocked");
+    group_.addCounter("lock_wait_ns", &mutex_.waitNs(),
+                      "time blocked acquiring the stats mutex (ns)");
+    lockGroup_.addCounter("queue_wait_ns", &queueLockNs_,
+                          "per-request time blocked on the queue "
+                          "mutex, summed over requests");
+    lockGroup_.addCounter("stats_wait_ns", &statsLockNs_,
+                          "per-request time blocked on the stats "
+                          "mutex, summed over requests");
 }
 
 void
@@ -103,59 +129,52 @@ ServiceStats::traceLatencyLocked(Clock::time_point now)
 }
 
 void
-ServiceStats::recordCompletion(const Reply &reply)
+ServiceStats::recordCompletion(const Reply &reply,
+                               const framework::SampleTelemetry &batch)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const StageTimes &wall = reply.stages;
+    const StageTimes &cpu = reply.cpu;
+    const auto lock = mutex_.lock();
     completed_.inc();
-    queueWaitUs.sample(reply.queue_us);
-    execUs.sample(reply.exec_us);
+    queueWaitUs.sample(wall.queue_us);
+    execUs.sample(wall.sample_us + wall.gather_us + wall.compute_us);
     e2eUs.sample(reply.e2e_us);
     LaneView &lane = laneLocked(reply.lane);
     lane.completed.inc();
     if (reply.status == StatusCode::Degraded)
         lane.degraded.inc();
     lane.e2eUs.sample(reply.e2e_us);
+
+    stageQueue_.sample(wall.queue_us, 0.0);
+    stageBatch_.sample(wall.batch_us, cpu.batch_us);
+    stageHandoff_.sample(wall.handoff_us, cpu.handoff_us);
+    stageSample_.sample(wall.sample_us, cpu.sample_us);
+    stageRemote_.sample(batch.remote_us, 0.0);
+    if (needsCompute(reply.kind)) {
+        stageGather_.sample(wall.gather_us, cpu.gather_us);
+        stageCompute_.sample(wall.compute_us, cpu.compute_us);
+    }
+    stageReply_.sample(wall.reply_us, cpu.reply_us);
+    queueLockNs_.inc(toNs(reply.queue_lock_us));
+    statsLockNs_.inc(toNs(reply.stats_lock_us));
+    if (batch.cache_lookups != 0)
+        cacheHitPct_.sample(100.0 *
+                            static_cast<double>(batch.cache_hits) /
+                            static_cast<double>(batch.cache_lookups));
+    if (batch.inflight_peak != 0) {
+        fabricHedges_.sample(static_cast<double>(batch.hedges));
+        fabricInflightPeak_.sample(
+            static_cast<double>(batch.inflight_peak));
+    }
     if (trace::Tracer::enabled() &&
         completed_.value() % trace_every == 0)
         traceLatencyLocked(Clock::now());
 }
 
 void
-ServiceStats::recordStages(double queue_us, double batch_us,
-                           double sample_us, double remote_us,
-                           std::uint64_t cache_lookups,
-                           std::uint64_t cache_hits,
-                           std::uint64_t hedges,
-                           std::uint64_t inflight_peak)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    stageQueue_.us.sample(queue_us);
-    stageBatch_.us.sample(batch_us);
-    stageSample_.us.sample(sample_us);
-    stageRemote_.us.sample(remote_us);
-    if (cache_lookups != 0)
-        cacheHitPct_.sample(100.0 *
-                            static_cast<double>(cache_hits) /
-                            static_cast<double>(cache_lookups));
-    if (inflight_peak != 0) {
-        fabricHedges_.sample(static_cast<double>(hedges));
-        fabricInflightPeak_.sample(
-            static_cast<double>(inflight_peak));
-    }
-}
-
-void
-ServiceStats::recordComputeStages(double gather_us, double compute_us)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    stageGather_.us.sample(gather_us);
-    stageCompute_.us.sample(compute_us);
-}
-
-void
 ServiceStats::recordBatch(std::size_t requests, std::uint64_t roots)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto lock = mutex_.lock();
     batches_.inc();
     batchRequests.sample(static_cast<double>(requests));
     batchRoots.sample(static_cast<double>(roots));
@@ -164,49 +183,42 @@ ServiceStats::recordBatch(std::size_t requests, std::uint64_t roots)
 std::uint64_t
 ServiceStats::completed() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto lock = mutex_.lock();
     return completed_.value();
 }
 
 std::uint64_t
 ServiceStats::laneCompleted(Lane lane) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto lock = mutex_.lock();
     return laneLocked(lane).completed.value();
 }
 
 double
 ServiceStats::laneE2ePercentile(Lane lane, double q) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto lock = mutex_.lock();
     return laneLocked(lane).e2eUs.percentile(q);
 }
 
 std::uint64_t
 ServiceStats::batches() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto lock = mutex_.lock();
     return batches_.value();
 }
 
 double
 ServiceStats::e2ePercentile(double q) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto lock = mutex_.lock();
     return e2eUs.percentile(q);
-}
-
-double
-ServiceStats::queueWaitPercentile(double q) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queueWaitUs.percentile(q);
 }
 
 double
 ServiceStats::meanBatchRequests() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto lock = mutex_.lock();
     return batchRequests.mean();
 }
 

@@ -10,26 +10,41 @@
  *  - histograms `queue_wait_us`, `exec_us`, `e2e_us` (microseconds;
  *    JSON export carries p50/p90/p95/p99),
  *  - counters `completed`, `batches`,
- *  - averages `batch_requests`, `batch_roots`.
+ *  - averages `batch_requests`, `batch_roots`,
+ *  - counters `lock_contended`, `lock_wait_ns` (contention on this
+ *    object's own mutex; the queue's group carries the same pair for
+ *    the admission queue's mutex).
  *
- * Per-stage SLO breakdown lives in sibling groups, one histogram
- * ("us") each, so windowed exporters (stats::WindowedStats) can
- * report rolling per-stage percentiles by group prefix:
+ * Per-stage breakdown lives in sibling groups, so windowed exporters
+ * (stats::WindowedStats) can report rolling per-stage figures by group
+ * prefix. The named stages are those of a Reply (StageTimes in
+ * request.hh), which sum to `e2e_us`:
  *
- *  - `service.stage.queue`   admission-queue wait
- *  - `service.stage.batch`   micro-batch forming (aging window)
- *  - `service.stage.sample`  backend execution
- *  - `service.stage.remote`  remote-fabric wait inside execution
+ *  - `service.stage.queue`   enqueue -> pop
+ *  - `service.stage.batch`   pop -> batch close (aging window)
+ *  - `service.stage.handoff` batch set-up and pipeline hand-offs
+ *  - `service.stage.sample`  backend sampling
  *  - `service.stage.gather`  attribute-row gather (compute kinds)
  *  - `service.stage.compute` GNN forward pass (compute kinds)
+ *  - `service.stage.reply`   split and completion of the riders
  *
- * All four are sampled once per completed request (riders of one
- * batch each contribute the batch's shared stage times), keeping the
- * stage view request-weighted like `e2e_us`. A fifth group,
- * `service.stage.cache`, carries a `hit_pct` histogram (0-100) of the
- * hot-vertex-cache hit percentage per completed request; it is only
- * sampled when the batch actually probed the tier, so the windowed
- * view tracks live hit rate rather than averaging in cache-off noise.
+ * Each carries a `us` histogram (percentiles) and a `wall_ns` counter
+ * (exact sums, so a window's mean is wall_ns / n); every stage but
+ * queue also carries `cpu_ns`, the serving threads' CPU time in that
+ * stage. `service.stage.remote` (`us` and `wall_ns`) is the
+ * remote-fabric wait inside the sample stage.
+ *
+ * All are sampled once per completed request (riders of one batch
+ * each contribute the batch's shared stage times), keeping the stage
+ * view request-weighted like `e2e_us`; gather and compute only for
+ * compute kinds, so sample-only traffic does not dilute them.
+ * `service.lock` sums, per request, the time its path blocked on the
+ * queue's and this object's mutexes (`queue_wait_ns`,
+ * `stats_wait_ns`). `service.stage.cache` carries a `hit_pct`
+ * histogram (0-100) of the hot-vertex-cache hit percentage per
+ * completed request; it is only sampled when the batch actually
+ * probed the tier, so the windowed view tracks live hit rate rather
+ * than averaging in cache-off noise.
  *
  * When tracing is enabled, end-to-end latency percentiles are also
  * emitted periodically as Perfetto counter series
@@ -43,7 +58,9 @@
 #include <mutex>
 
 #include "common/stats.hh"
+#include "framework/backend.hh"
 #include "service/request.hh"
+#include "service/stamps.hh"
 
 namespace lsdgnn {
 namespace service {
@@ -54,39 +71,19 @@ class ServiceStats
   public:
     ServiceStats();
 
-    /** Record one completed (Ok) request's latency split. */
-    void recordCompletion(const Reply &reply);
+    /**
+     * Record one completed request: its latency, named stages, CPU
+     * split and lock waits from @p reply, and the backend telemetry
+     * of its batch (for compute kinds, cache probes include the
+     * gather's). The cache hit percentage is only sampled when the
+     * batch probed the tier at least once, the fabric view only when
+     * the batch had remote reads in flight.
+     */
+    void recordCompletion(const Reply &reply,
+                          const framework::SampleTelemetry &batch = {});
 
     /** Record one executed micro-batch. */
     void recordBatch(std::size_t requests, std::uint64_t roots);
-
-    /**
-     * Record one completed request's per-stage latency split (all in
-     * microseconds; see the file comment for stage definitions).
-     * @p cache_lookups / @p cache_hits are the batch's hot-vertex
-     * cache probe counts; hit percentage is only sampled when the
-     * batch probed the tier at least once. @p hedges / @p
-     * inflight_peak are the async fabric's hedge re-issues and peak
-     * simultaneous in-flight remote reads for the batch; both are
-     * only sampled when the batch actually had reads in flight, so
-     * the windowed fabric view ignores all-local batches.
-     */
-    void recordStages(double queue_us, double batch_us,
-                      double sample_us, double remote_us,
-                      std::uint64_t cache_lookups = 0,
-                      std::uint64_t cache_hits = 0,
-                      std::uint64_t hedges = 0,
-                      std::uint64_t inflight_peak = 0);
-
-    /**
-     * Record one completed compute-kind request's pipeline stages:
-     * `service.stage.gather` (attribute-row materialization +
-     * modeled-fabric pacing) and `service.stage.compute` (GraphSAGE
-     * forward on the GEMM engine). Sampled only for Embed/TrainStep
-     * completions, so the windowed view is not diluted by
-     * sample-only traffic.
-     */
-    void recordComputeStages(double gather_us, double compute_us);
 
     /** Completed (Ok) requests so far. */
     std::uint64_t completed() const;
@@ -103,9 +100,6 @@ class ServiceStats
     /** End-to-end latency percentile (us), q in [0,1]. */
     double e2ePercentile(double q) const;
 
-    /** Queue-wait latency percentile (us), q in [0,1]. */
-    double queueWaitPercentile(double q) const;
-
     /** Mean requests per executed micro-batch. */
     double meanBatchRequests() const;
 
@@ -120,8 +114,12 @@ class ServiceStats
 
     /** One per-stage breakdown group ("service.stage.<name>"). */
     struct Stage {
-        explicit Stage(const std::string &name);
+        /** @param cpu Whether the stage has a `cpu_ns` counter. */
+        Stage(const std::string &name, bool cpu);
+        void sample(double wall_us, double cpu_us);
         stats::Histogram us;
+        stats::Counter wallNs;
+        stats::Counter cpuNs;
         stats::StatGroup group;
     };
 
@@ -141,7 +139,7 @@ class ServiceStats
     LaneView &laneLocked(Lane lane);
     const LaneView &laneLocked(Lane lane) const;
 
-    mutable std::mutex mutex_;
+    mutable TimedMutex mutex_{LockSite::Stats};
     // Every stat is declared before the group it is added to (a stat
     // must outlive its group); Stage and LaneView do the same inside.
     stats::Counter completed_;
@@ -156,17 +154,23 @@ class ServiceStats
     /** Async-fabric view per request with remote reads in flight. */
     stats::Histogram fabricHedges_;
     stats::Histogram fabricInflightPeak_;
+    /** Per-request lock waits on the queue and stats mutexes. */
+    stats::Counter queueLockNs_;
+    stats::Counter statsLockNs_;
     stats::StatGroup group_{"service"};
     Stage stageQueue_;
     Stage stageBatch_;
+    Stage stageHandoff_;
     Stage stageSample_;
     Stage stageRemote_;
     Stage stageGather_;
     Stage stageCompute_;
+    Stage stageReply_;
     LaneView laneInteractive_;
     LaneView laneBatch_;
     stats::StatGroup stageCacheGroup_{"service.stage.cache"};
     stats::StatGroup stageFabricGroup_{"service.stage.fabric"};
+    stats::StatGroup lockGroup_{"service.lock"};
 };
 
 } // namespace service

@@ -10,17 +10,12 @@
 #include "framework/distributed.hh"
 #include "gnn/minibatch_forward.hh"
 #include "service/qos.hh"
+#include "service/stamps.hh"
 
 namespace lsdgnn {
 namespace service {
 
 namespace {
-
-std::uint64_t
-toNs(double us)
-{
-    return static_cast<std::uint64_t>(us * 1000.0);
-}
 
 /** Copy @p count embedding rows starting at @p first into a reply. */
 gnn::Matrix
@@ -145,24 +140,62 @@ WorkerPool::run(std::uint32_t worker_id)
                      "bytes of the gatherer's row table (0 until the "
                      "first compute job fills it)");
 
+    // Completes one rider, on whichever thread ran its batch's last
+    // stage: stamp its stages (its reply stage runs from work_end
+    // until now), account it, and set its future.
+    const auto complete = [&, worker_id](
+                              Request &rider, Reply &reply,
+                              const BatchStamps &st,
+                              const ThreadMark &work_end,
+                              const trace::TraceContext &batch_ctx,
+                              std::size_t riders,
+                              const framework::SampleTelemetry &telem) {
+        st.stamp(reply, rider, work_end);
+        reply.kind = rider.kind;
+        reply.trace_id = rider.trace_id;
+        reply.span_id = rider.trace.span_id;
+        reply.batch_span_id = batch_ctx.span_id;
+        reply.tenant = rider.tenant;
+        reply.lane = rider.lane;
+        reply.worker = worker_id;
+        reply.batched_with = static_cast<std::uint32_t>(riders);
+        stats_.recordCompletion(reply, telem);
+        if (config_.qos != nullptr)
+            config_.qos->registry.recordOutcome(reply.tenant, reply);
+        // A request that finished past its drop-dead time is an SLO
+        // anomaly even though it was answered: record it and
+        // (rate-limited) snapshot the flight recorder.
+        if (rider.deadline != Clock::time_point::max() &&
+            Clock::now() > rider.deadline) {
+            trace::FlightRecorder::instance().recordNow(
+                "deadline.miss", rider.trace.trace_id,
+                rider.trace.span_id, reply.e2e_us);
+            trace::FlightRecorder::instance().trip("deadline-miss:" +
+                                                   track_name);
+        }
+        rider.promise.set_value(std::move(reply));
+    };
+
     // Stage B: complete one compute-kind payload — forward pass on
     // the shared model/GEMM engine, split embeddings on root ranges,
     // resolve every rider. Runs on the compute thread when the
     // pipeline is on, inline on this thread when it is off; the body
     // is the same either way, so the two modes are byte-identical.
-    const auto computeBatch = [&, worker_id](ComputePayload &p) {
-        const auto compute_start = Clock::now();
+    const auto computeBatch = [&](ComputePayload &p) {
+        BatchStamps &st = p.stamps;
+        st.compute_start = Clock::now();
+        const std::uint64_t cpu_start = threadCpuNs();
         gnn::ForwardTelemetry forward;
         gnn::Matrix emb = gnn::forwardGathered(
             compute->model(), p.batch, p.features.levels,
             compute->gemm(), p.width_scale, &forward,
             p.features.leaf_table);
-        const auto exec_end = Clock::now();
-        const double compute_us = elapsedUs(compute_start, exec_end);
-        computeBusyNs_.fetch_add(toNs(compute_us),
-                                 std::memory_order_relaxed);
-        const double exec_us =
-            p.sample_us + p.gather_us + compute_us;
+        st.work_end = Clock::now();
+        const ThreadMark work_end = ThreadMark::now();
+        st.cpu.compute_us = cpuUs(cpu_start, work_end.cpu_ns);
+        computeBusyNs_.fetch_add(
+            toNs(elapsedUs(st.compute_start, st.work_end)),
+            std::memory_order_relaxed);
         const bool solo = p.riders.size() == 1;
 
         if (trace::Tracer::enabled()) {
@@ -174,15 +207,15 @@ WorkerPool::run(std::uint32_t worker_id)
             for (const Request &req : p.riders) {
                 const Tick rs = wallTick(req.enqueued_at);
                 tracer.complete(trace_pid, req_tid, "req", rs,
-                                wallTick(exec_end) - rs,
+                                wallTick(st.work_end) - rs,
                                 req.trace.argsJson());
                 tracer.complete(trace_pid, req_tid, "queue.wait", rs,
-                                wallTick(p.exec_start) - rs,
+                                wallTick(st.exec_start) - rs,
                                 req.trace.argsJson());
             }
             tracer.complete(
-                trace_pid, tid, "compute", wallTick(compute_start),
-                wallTick(exec_end) - wallTick(compute_start),
+                trace_pid, tid, "compute", wallTick(st.compute_start),
+                wallTick(st.work_end) - wallTick(st.compute_start),
                 p.batch_ctx.argsJson() +
                     ",\"roots\":" +
                     std::to_string(p.batch.roots.size()) +
@@ -191,13 +224,15 @@ WorkerPool::run(std::uint32_t worker_id)
                     std::to_string(p.width_scale));
         }
 
+        framework::SampleTelemetry telem = p.sample_telemetry;
+        telem.cache_lookups += p.gather_telemetry.remote_rows;
+        telem.cache_hits += p.gather_telemetry.cache_hits;
         std::size_t row = 0;
         for (std::size_t i = 0; i < p.riders.size(); ++i) {
             Request &rider = p.riders[i];
             const std::size_t rows = p.root_counts[i];
             Reply reply;
             reply.status = p.exec_status;
-            reply.kind = rider.kind;
             if (p.browned_out) {
                 if (reply.status == StatusCode::Ok)
                     reply.status = Status(
@@ -212,43 +247,8 @@ WorkerPool::run(std::uint32_t worker_id)
                 reply.loss = gnn::inBatchLoss(reply.embeddings);
             reply.flops = forward.flops;
             reply.gemm_cycles = forward.gemm_cycles;
-            reply.trace_id = rider.trace_id;
-            reply.span_id = rider.trace.span_id;
-            reply.batch_span_id = p.batch_ctx.span_id;
-            reply.tenant = rider.tenant;
-            reply.lane = rider.lane;
-            reply.worker = worker_id;
-            reply.batched_with =
-                static_cast<std::uint32_t>(p.riders.size());
-            reply.queue_us = elapsedUs(rider.enqueued_at, p.exec_start);
-            reply.exec_us = exec_us;
-            reply.e2e_us = elapsedUs(rider.enqueued_at, exec_end);
-            reply.sample_us = p.sample_us;
-            reply.gather_us = p.gather_us;
-            reply.compute_us = compute_us;
-            stats_.recordCompletion(reply);
-            if (config_.qos != nullptr)
-                config_.qos->registry.recordOutcome(reply.tenant,
-                                                    reply);
-            stats_.recordStages(reply.queue_us, p.batch_us,
-                                p.sample_us,
-                                p.sample_telemetry.remote_us,
-                                p.sample_telemetry.cache_lookups +
-                                    p.gather_telemetry.remote_rows,
-                                p.sample_telemetry.cache_hits +
-                                    p.gather_telemetry.cache_hits,
-                                p.sample_telemetry.hedges,
-                                p.sample_telemetry.inflight_peak);
-            stats_.recordComputeStages(p.gather_us, compute_us);
-            if (rider.deadline != Clock::time_point::max() &&
-                exec_end > rider.deadline) {
-                trace::FlightRecorder::instance().recordNow(
-                    "deadline.miss", rider.trace.trace_id,
-                    rider.trace.span_id, reply.e2e_us);
-                trace::FlightRecorder::instance().trip(
-                    "deadline-miss:" + track_name);
-            }
-            rider.promise.set_value(std::move(reply));
+            complete(rider, reply, st, work_end, p.batch_ctx,
+                     p.riders.size(), telem);
         }
     };
 
@@ -288,9 +288,14 @@ WorkerPool::run(std::uint32_t worker_id)
     std::vector<Request> batch;
     std::vector<std::uint32_t> root_counts;
     std::vector<sampling::SampleResult> parts;
-    Clock::time_point first_pop{};
-    while (batcher.collect(queue_, batch, &first_pop)) {
-        const auto exec_start = Clock::now();
+    // Where this thread's CPU clock and lock tally stood when it began
+    // forming the next batch (the batch stage's CPU starts here).
+    ThreadMark collect_start = ThreadMark::now();
+    while (batcher.collect(queue_, batch)) {
+        BatchStamps st;
+        st.exec_start = Clock::now();
+        const ThreadMark closed = ThreadMark::now();
+        st.cpu.batch_us = cpuUs(collect_start.cpu_ns, closed.cpu_ns);
         const JobKind kind = batch.front().kind;
         lsd_assert(!needsCompute(kind) || compute != nullptr,
                    "compute-kind request on a sample-only pool");
@@ -317,7 +322,7 @@ WorkerPool::run(std::uint32_t worker_id)
                 static_cast<double>(queue_.depth()) /
                 static_cast<double>(queue_.capacity());
             const int level =
-                config_.qos->brownout.observe(fill, exec_start);
+                config_.qos->brownout.observe(fill, st.exec_start);
             if (level >= BrownOut::Degrade) {
                 plan = config_.qos->brownout.degrade(plan);
                 if (needsCompute(kind))
@@ -347,16 +352,19 @@ WorkerPool::run(std::uint32_t worker_id)
 
         if (!needsCompute(kind)) {
             sampling::SampleResult merged = resultPool.acquire();
+            st.sample_start = Clock::now();
+            const std::uint64_t cpu_sample = threadCpuNs();
             const Status exec_status =
                 session.sampleBatchInto(plan, merged, opts);
-            const bool solo = batch.size() == 1;
-            if (!solo)
-                Batcher::splitInto(merged, root_counts, splitScratch,
-                                   parts);
-
-            const auto exec_end = Clock::now();
-            const double exec_us = elapsedUs(exec_start, exec_end);
-            const double batch_us = elapsedUs(first_pop, exec_start);
+            st.sample_end = st.gather_end = st.compute_start =
+                st.work_end = Clock::now();
+            const ThreadMark work_end = ThreadMark::now();
+            st.cpu.handoff_us = cpuUs(closed.cpu_ns, cpu_sample);
+            st.cpu.sample_us = cpuUs(cpu_sample, work_end.cpu_ns);
+            st.locks = lockWaitsSince(collect_start.locks,
+                                      work_end.locks);
+            const double exec_us =
+                elapsedUs(st.sample_start, st.sample_end);
             sampleBusyNs_.fetch_add(toNs(exec_us),
                                     std::memory_order_relaxed);
 
@@ -376,20 +384,20 @@ WorkerPool::run(std::uint32_t worker_id)
                 for (const Request &req : batch) {
                     const Tick rs = wallTick(req.enqueued_at);
                     tracer.complete(trace_pid, req_tid, "req", rs,
-                                    wallTick(exec_end) - rs,
+                                    wallTick(st.work_end) - rs,
                                     req.trace.argsJson());
                     tracer.complete(trace_pid, req_tid, "queue.wait",
-                                    rs, wallTick(exec_start) - rs,
+                                    rs, wallTick(st.exec_start) - rs,
                                     req.trace.argsJson());
                     tracer.flowStart(trace_pid, req_tid, "req", rs,
                                      req.trace.trace_id);
                     tracer.flowEnd(trace_pid, tid, "req",
-                                   wallTick(exec_start),
+                                   wallTick(st.exec_start),
                                    req.trace.trace_id);
                 }
                 tracer.complete(
-                    trace_pid, tid, "batch", wallTick(exec_start),
-                    wallTick(exec_end) - wallTick(exec_start),
+                    trace_pid, tid, "batch", wallTick(st.exec_start),
+                    wallTick(st.work_end) - wallTick(st.exec_start),
                     batchCtx.argsJson() + ",\"requests\":" +
                         std::to_string(batch.size()) + ",\"roots\":" +
                         std::to_string(plan.batch_size) +
@@ -398,13 +406,17 @@ WorkerPool::run(std::uint32_t worker_id)
                         "\"");
             }
 
+            // The split into riders is part of the reply stage.
+            const bool solo = batch.size() == 1;
+            if (!solo)
+                Batcher::splitInto(merged, root_counts, splitScratch,
+                                   parts);
             for (std::size_t i = 0; i < batch.size(); ++i) {
                 Reply reply;
                 // A degraded execution degrades every rider: each
                 // one's slice may contain fallback-sampled frontier
                 // entries.
                 reply.status = exec_status;
-                reply.kind = kind;
                 if (browned_out) {
                     if (reply.status == StatusCode::Ok)
                         reply.status =
@@ -412,47 +424,15 @@ WorkerPool::run(std::uint32_t worker_id)
                                    "brown-out: fan-out degraded");
                     reply.shed_cause = ShedCause::BrownOut;
                 }
-                reply.trace_id = batch[i].trace_id;
-                reply.span_id = batch[i].trace.span_id;
-                reply.batch_span_id = batchCtx.span_id;
-                reply.tenant = batch[i].tenant;
-                reply.lane = batch[i].lane;
                 reply.batch = solo ? std::move(merged)
                                    : std::move(parts[i]);
-                reply.worker = worker_id;
-                reply.batched_with =
-                    static_cast<std::uint32_t>(batch.size());
-                reply.queue_us =
-                    elapsedUs(batch[i].enqueued_at, exec_start);
-                reply.exec_us = exec_us;
-                reply.sample_us = exec_us;
-                reply.e2e_us =
-                    elapsedUs(batch[i].enqueued_at, exec_end);
-                stats_.recordCompletion(reply);
-                if (config_.qos != nullptr)
-                    config_.qos->registry.recordOutcome(reply.tenant,
-                                                        reply);
-                stats_.recordStages(reply.queue_us, batch_us, exec_us,
-                                    telem.remote_us,
-                                    telem.cache_lookups,
-                                    telem.cache_hits, telem.hedges,
-                                    telem.inflight_peak);
-                // A request that finished past its drop-dead time is
-                // an SLO anomaly even though it was answered: record
-                // it and (rate-limited) snapshot the flight recorder.
-                if (batch[i].deadline != Clock::time_point::max() &&
-                    exec_end > batch[i].deadline) {
-                    trace::FlightRecorder::instance().recordNow(
-                        "deadline.miss", batch[i].trace.trace_id,
-                        batch[i].trace.span_id, reply.e2e_us);
-                    trace::FlightRecorder::instance().trip(
-                        "deadline-miss:" + track_name);
-                }
-                batch[i].promise.set_value(std::move(reply));
+                complete(batch[i], reply, st, work_end, batchCtx,
+                         batch.size(), telem);
             }
             if (!solo)
                 resultPool.release(std::move(merged));
             batch.clear();
+            collect_start = ThreadMark::now();
             continue;
         }
 
@@ -472,15 +452,18 @@ WorkerPool::run(std::uint32_t worker_id)
         payload->batch_ctx = batchCtx;
         payload->browned_out = browned_out;
         payload->width_scale = width_scale;
-        payload->exec_start = exec_start;
-        payload->batch_us = elapsedUs(first_pop, exec_start);
 
+        st.sample_start = Clock::now();
+        const std::uint64_t cpu_sample = threadCpuNs();
+        st.cpu.handoff_us = cpuUs(closed.cpu_ns, cpu_sample);
         payload->exec_status =
             session.sampleBatchInto(plan, payload->batch, opts);
-        const auto sample_end = Clock::now();
-        payload->sample_us = elapsedUs(exec_start, sample_end);
+        st.sample_end = Clock::now();
+        const std::uint64_t cpu_gather = threadCpuNs();
+        st.cpu.sample_us = cpuUs(cpu_sample, cpu_gather);
+        const double sample_us = elapsedUs(st.sample_start, st.sample_end);
         payload->sample_telemetry = telem;
-        sampleBusyNs_.fetch_add(toNs(payload->sample_us),
+        sampleBusyNs_.fetch_add(toNs(sample_us),
                                 std::memory_order_relaxed);
 
         // Gather, then pace the stage to the modeled fabric: sleep
@@ -496,38 +479,40 @@ WorkerPool::run(std::uint32_t worker_id)
         gatherRows.inc(payload->gather_telemetry.rows);
         if (tableBytes.value() == 0)
             tableBytes.inc(gatherer->table().size_bytes());
-        const auto gather_cpu_end = Clock::now();
         const double gather_cpu_us =
-            elapsedUs(sample_end, gather_cpu_end);
+            elapsedUs(st.sample_end, Clock::now());
         const double modeled_us =
             payload->gather_telemetry.modeled_fabric_us;
         if (modeled_us > gather_cpu_us)
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::micro>(
                     modeled_us - gather_cpu_us));
-        payload->gather_us = elapsedUs(sample_end, Clock::now());
-        gatherBusyNs_.fetch_add(toNs(payload->gather_us),
+        st.gather_end = Clock::now();
+        const ThreadMark gathered = ThreadMark::now();
+        st.cpu.gather_us = cpuUs(cpu_gather, gathered.cpu_ns);
+        st.locks = lockWaitsSince(collect_start.locks, gathered.locks);
+        const double gather_us = elapsedUs(st.sample_end, st.gather_end);
+        gatherBusyNs_.fetch_add(toNs(gather_us),
                                 std::memory_order_relaxed);
 
         trace::FlightRecorder::instance().recordNow(
             "batch", batchCtx.trace_id, batchCtx.span_id,
-            static_cast<double>(batch.size()),
-            payload->sample_us + payload->gather_us);
+            static_cast<double>(batch.size()), sample_us + gather_us);
 
         if (trace::Tracer::enabled()) {
             auto &tracer = trace::Tracer::instance();
             const auto tid = tracer.track(trace_pid, track_name);
-            const Tick ss = wallTick(exec_start);
+            const Tick ss = wallTick(st.sample_start);
             tracer.complete(trace_pid, tid, "sample", ss,
-                            wallTick(sample_end) - ss,
+                            wallTick(st.sample_end) - ss,
                             batchCtx.argsJson() + ",\"requests\":" +
                                 std::to_string(batch.size()) +
                                 ",\"roots\":" +
                                 std::to_string(plan.batch_size));
             tracer.complete(trace_pid, tid, "gather",
-                            wallTick(sample_end),
-                            wallTick(Clock::now()) -
-                                wallTick(sample_end),
+                            wallTick(st.sample_end),
+                            wallTick(st.gather_end) -
+                                wallTick(st.sample_end),
                             batchCtx.argsJson() + ",\"rows\":" +
                                 std::to_string(
                                     payload->gather_telemetry.rows));
@@ -541,6 +526,7 @@ WorkerPool::run(std::uint32_t worker_id)
         }
 
         payload->riders = std::move(batch);
+        payload->stamps = st;
         batch.clear();
 
         if (piped) {
@@ -550,6 +536,7 @@ WorkerPool::run(std::uint32_t worker_id)
             payload->clearForReuse();
             serialPayload = std::move(payload);
         }
+        collect_start = ThreadMark::now();
     }
 
     // Drain the pipeline: the compute thread finishes any in-flight

@@ -18,6 +18,12 @@ namespace sim {
 /**
  * A named component attached to an event queue, with its own stat
  * group. Components are non-copyable identity objects.
+ *
+ * The group lives here, but a subclass adds its own members to it, and
+ * those die before the base class does. So every subclass that adds
+ * stats must detach the group in its own destructor
+ * (`statGroup.detach()`); otherwise an exporter visiting the registry
+ * during teardown reads freed stats.
  */
 class Component
 {

@@ -6,8 +6,9 @@
  * engines), compute reply semantics (embedding shapes, per-rider
  * train-step loss, stage telemetry), Job validation at submit(),
  * brown-out width degradation for compute kinds, kind-homogeneous
- * micro-batching, the consolidated ServiceConfig (validate / Builder /
- * fromEnv), and a mixed-kind double-buffering stress run. The whole
+ * micro-batching, per-request stage stamps that sum to the end-to-end
+ * time, the consolidated ServiceConfig (validate / Builder / fromEnv),
+ * and a mixed-kind double-buffering stress run. The whole
  * binary is also a TSan target: the stage-B compute thread, the stage
  * mailboxes and the shared ComputeRuntime must be race-free.
  */
@@ -176,11 +177,12 @@ TEST(PipelineCompute, EmbedReplyCarriesShapeTelemetryAndStages)
               svc.compute().model().hiddenDim());
     EXPECT_GT(reply.flops, 0u);
     EXPECT_GT(reply.gemm_cycles, 0u);
-    EXPECT_GT(reply.sample_us, 0.0);
-    EXPECT_GT(reply.gather_us, 0.0);
-    EXPECT_GT(reply.compute_us, 0.0);
-    // exec time covers all three stages of this rider's batch.
-    EXPECT_GE(reply.exec_us, reply.compute_us);
+    EXPECT_GT(reply.stages.sample_us, 0.0);
+    EXPECT_GT(reply.stages.gather_us, 0.0);
+    EXPECT_GT(reply.stages.compute_us, 0.0);
+    // The named stages cover the request end to end.
+    EXPECT_NEAR(reply.stages.total(), reply.e2e_us,
+                0.05 * reply.e2e_us);
 
     double sum = 0.0;
     for (std::size_t r = 0; r < reply.embeddings.rows(); ++r)
@@ -243,6 +245,84 @@ TEST(PipelineCompute, RidersOfAMergedBatchGetTheirOwnRows)
     }
     EXPECT_TRUE(merged) << "the window never packed a micro-batch";
     svc.shutdown();
+}
+
+/**
+ * The named stages of every reply in a mixed Sample/Embed run cover
+ * its submit-to-reply time: they sum to e2e_us within 5%, each is
+ * non-negative, only compute kinds spend time in gather and compute,
+ * and no single-thread stage used more CPU than wall time.
+ */
+void
+expectStagesCoverE2e(bool pipelined)
+{
+    auto builder = baseBuilder(2);
+    builder.pipelined(pipelined);
+    service::Service svc(builder.build());
+
+    std::vector<std::thread> clients;
+    std::vector<service::Reply> replies[2];
+    for (int c = 0; c < 2; ++c)
+        clients.emplace_back([&svc, &replies, c] {
+            std::vector<std::future<service::Reply>> futures;
+            for (int i = 0; i < 24; ++i)
+                futures.push_back(svc.submit(
+                    (c + i) % 2 == 0
+                        ? service::Job::sample(twoHopPlan(4))
+                        : service::Job::embed(twoHopPlan(4))));
+            for (auto &f : futures)
+                replies[c].push_back(f.get());
+        });
+    for (auto &t : clients)
+        t.join();
+
+    std::size_t embeds = 0;
+    for (const auto &per_client : replies) {
+        for (const auto &r : per_client) {
+            ASSERT_TRUE(r.status.hasPayload()) << r.status;
+            const auto &st = r.stages;
+            EXPECT_NEAR(st.total(), r.e2e_us, 0.05 * r.e2e_us)
+                << "stages do not cover e2e";
+            for (double v : {st.queue_us, st.batch_us, st.handoff_us,
+                             st.sample_us, st.gather_us, st.compute_us,
+                             st.reply_us})
+                EXPECT_GE(v, 0.0);
+            EXPECT_GT(st.sample_us, 0.0);
+            EXPECT_LE(r.cpu.sample_us, st.sample_us + 20.0);
+            EXPECT_EQ(r.cpu.queue_us, 0.0);
+            if (r.kind == service::JobKind::Embed) {
+                ++embeds;
+                EXPECT_GT(st.gather_us, 0.0);
+                EXPECT_GT(st.compute_us, 0.0);
+                EXPECT_GT(r.cpu.compute_us, 0.0);
+                EXPECT_LE(r.cpu.compute_us, st.compute_us + 20.0);
+            } else {
+                EXPECT_EQ(st.gather_us, 0.0);
+                EXPECT_EQ(st.compute_us, 0.0);
+            }
+        }
+    }
+    EXPECT_EQ(embeds, 24u);
+    svc.shutdown();
+
+    // The same stages, summed per request, reach the stat export.
+    std::ostringstream os;
+    stats::StatRegistry::instance().exportJson(os);
+    const std::string json = os.str();
+    for (const char *group :
+         {"\"service.stage.handoff\"", "\"service.stage.reply\"",
+          "\"service.lock\"", "\"cpu_ns\"", "\"lock_wait_ns\""})
+        EXPECT_NE(json.find(group), std::string::npos) << group;
+}
+
+TEST(PipelineStages, NamedStagesSumToE2ePipelined)
+{
+    expectStagesCoverE2e(true);
+}
+
+TEST(PipelineStages, NamedStagesSumToE2eSerial)
+{
+    expectStagesCoverE2e(false);
 }
 
 // ---------------------------------------------------------------------

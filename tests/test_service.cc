@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -276,6 +277,84 @@ TEST(Batcher, ZeroWindowDoesNotWait)
     queue.close();
 }
 
+TEST(Batcher, AgingBatchClosesWhenAPeerGoesIdle)
+{
+    // Work conservation: a batch ages for riders only while every
+    // other worker is busy. Here the batch starts aging in a 500 ms
+    // window with no idle peer; 20 ms in, a peer worker runs dry and
+    // blocks in pop(), and the batch must close right then.
+    service::RequestQueue queue({16});
+    auto first = makeRequest(tinyPlan(4));
+    auto first_future = first.promise.get_future();
+    ASSERT_TRUE(queue.push(std::move(first)));
+
+    std::thread peer([&queue] {
+        std::this_thread::sleep_for(20ms);
+        EXPECT_FALSE(queue.pop().has_value()); // released by close()
+    });
+
+    service::Batcher batcher({8, 4096, /*window=*/500ms});
+    std::vector<service::Request> batch;
+    const auto t0 = service::Clock::now();
+    ASSERT_TRUE(batcher.collect(queue, batch));
+    const double waited_ms =
+        service::elapsedUs(t0, service::Clock::now()) / 1e3;
+    EXPECT_EQ(batch.size(), 1u);
+    EXPECT_GE(waited_ms, 10.0); // it aged while the peer was busy
+    EXPECT_LT(waited_ms, 400.0); // and closed when the peer idled
+    queue.close();
+    peer.join();
+    for (auto &req : batch)
+        req.promise.set_value(service::Reply{});
+}
+
+TEST(RequestQueue, CountsConsumersIdleInPop)
+{
+    service::RequestQueue queue({16});
+    EXPECT_EQ(queue.idlePoppers(), 0u);
+    std::thread consumer([&queue] {
+        auto req = queue.pop();
+        ASSERT_TRUE(req.has_value());
+        EXPECT_GE(req->popped_at, req->enqueued_at);
+        req->promise.set_value(service::Reply{});
+    });
+    while (queue.idlePoppers() == 0)
+        std::this_thread::sleep_for(100us);
+    EXPECT_EQ(queue.idlePoppers(), 1u);
+    auto req = makeRequest(tinyPlan(4));
+    auto future = req.promise.get_future();
+    ASSERT_TRUE(queue.push(std::move(req)));
+    consumer.join();
+    future.get();
+    EXPECT_EQ(queue.idlePoppers(), 0u);
+    queue.close();
+}
+
+TEST(TimedMutex, CountsOnlyContendedAcquisitions)
+{
+    service::TimedMutex mutex(service::LockSite::Queue);
+    { const auto lock = mutex.lock(); }
+    EXPECT_EQ(mutex.contended().value(), 0u);
+
+    std::atomic<bool> held{false};
+    std::thread holder([&] {
+        const auto lock = mutex.lock();
+        held.store(true);
+        std::this_thread::sleep_for(5ms);
+    });
+    while (!held.load())
+        std::this_thread::yield();
+    const std::uint64_t before = service::threadLockWaits().queue_ns;
+    { const auto lock = mutex.lock(); }
+    const std::uint64_t waited =
+        service::threadLockWaits().queue_ns - before;
+    holder.join();
+    EXPECT_EQ(mutex.contended().value(), 1u);
+    EXPECT_GE(waited, 1'000'000u); // blocked behind the 5 ms hold
+    EXPECT_EQ(mutex.waitNs().value(), waited);
+    EXPECT_EQ(service::threadLockWaits().stats_ns, 0u);
+}
+
 /** Split must partition the merged result exactly. */
 TEST(Batcher, SplitPartitionsMergedResult)
 {
@@ -406,6 +485,27 @@ tinyService(std::uint32_t workers, std::size_t capacity = 256)
     return cfg;
 }
 
+TEST(Service, LoneRequestsDoNotAgeWhileAWorkerIsIdle)
+{
+    // Two workers and a 2 ms window. Sequential lone requests find
+    // the other worker idle, so no batch waits for company: the batch
+    // stage is the time to close a batch, not the window.
+    auto cfg = tinyService(2);
+    cfg.batcher.window = 2ms;
+    service::Service svc(cfg);
+    std::vector<double> batch_us;
+    for (int i = 0; i < 31; ++i) {
+        const auto reply =
+            svc.submit(service::Job::sample(tinyPlan())).get();
+        ASSERT_EQ(reply.status, StatusCode::Ok);
+        EXPECT_EQ(reply.batched_with, 1u);
+        batch_us.push_back(reply.stages.batch_us);
+    }
+    std::sort(batch_us.begin(), batch_us.end());
+    EXPECT_LT(batch_us[batch_us.size() / 2], 500.0)
+        << "lone requests aged through the window";
+}
+
 TEST(Service, CompletesEveryFuture)
 {
     service::Service svc(tinyService(2));
@@ -418,7 +518,7 @@ TEST(Service, CompletesEveryFuture)
         EXPECT_EQ(reply.batch.roots.size(), tinyPlan().batch_size);
         EXPECT_EQ(reply.batch.frontier.size(), 2u);
         EXPECT_GE(reply.batched_with, 1u);
-        EXPECT_GE(reply.e2e_us, reply.queue_us);
+        EXPECT_GE(reply.e2e_us, reply.stages.queue_us);
     }
     svc.shutdown();
     EXPECT_EQ(svc.stats().completed(), 32u);
@@ -660,8 +760,10 @@ TEST(ServiceObservability, StatsTeardownWhileExportingIsSafe)
     });
     for (int i = 0; i < 50; ++i) {
         service::ServiceStats stats;
-        stats.recordStages(10.0, 10.0, 10.0, 10.0, 4, 2, 1, 3);
-        stats.recordComputeStages(10.0, 10.0);
+        service::Reply reply;
+        reply.kind = service::JobKind::Embed;
+        reply.stages.gather_us = reply.cpu.gather_us = 10.0;
+        stats.recordCompletion(reply, {10.0, 4, 2, 1, 3});
         service::TenantRegistry tenants;
         tenants.recordShed(1, service::ShedCause::QueueFull);
     }
@@ -672,14 +774,17 @@ TEST(ServiceObservability, StatsTeardownWhileExportingIsSafe)
 TEST(ServiceObservability, StatOwnersTeardownWhileExportingIsSafe)
 {
     // Same hazard as above for every other owner of a StatGroup: a
-    // distributed Session (framework::Session, MiniBatchSampler,
-    // DistributedBackend, the shard's HotVertexCache), a RequestQueue
-    // and a QrchHub (whose occupancy histogram is heap memory). Each
-    // declares its stats before its group, so the group leaves the
-    // registry before any stat it points at is destroyed. One shard:
-    // with peers the session would also build mof::ShardChannels,
-    // sim::Components whose stats live in the derived class while the
-    // base class owns the group, which member order cannot fix.
+    // 4-shard distributed Session (framework::Session,
+    // MiniBatchSampler, DistributedBackend, the shard's
+    // HotVertexCache, and one mof::ShardChannel per peer), a
+    // RequestQueue and a QrchHub (whose occupancy histogram is heap
+    // memory). Most declare their stats before their group, so the
+    // group leaves the registry before any stat it points at is
+    // destroyed. A ShardChannel is a sim::Component: its group lives
+    // in the base class and its stats in the derived one, so member
+    // order cannot help; its destructor detaches the group instead.
+    // So do the AxE cores, load units, sim links and MoF endpoints an
+    // AxeOffload Session builds.
     std::atomic<bool> done{false};
     std::thread exporter([&done] {
         while (!done.load()) {
@@ -691,16 +796,20 @@ TEST(ServiceObservability, StatOwnersTeardownWhileExportingIsSafe)
     framework::SessionConfig scfg;
     scfg.dataset = "ss";
     scfg.scale_divisor = 40'000;
-    scfg.num_servers = 1;
+    scfg.num_servers = 4;
     scfg.backend = framework::Backend::Distributed;
-    scfg.distributed.num_shards = 1;
+    scfg.distributed.num_shards = 4;
     scfg.distributed.cache_mb = 0.25;
     sampling::SamplePlan plan;
     plan.batch_size = 8;
     plan.fanouts = {4, 4};
-    for (int i = 0; i < 10; ++i) {
-        framework::Session session(scfg);
-        (void)session.sampleBatch(plan);
+    for (const auto backend : {framework::Backend::Distributed,
+                               framework::Backend::AxeOffload}) {
+        scfg.backend = backend;
+        for (int i = 0; i < 10; ++i) {
+            framework::Session session(scfg);
+            (void)session.sampleBatch(plan);
+        }
     }
     for (int i = 0; i < 50; ++i) {
         service::RequestQueue queue(service::RequestQueueConfig{});
