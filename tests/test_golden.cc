@@ -1,117 +1,44 @@
 /**
  * @file
- * Golden digests of the GraphSAGE forward pass.
+ * Golden digests of seeded sampling and of the GraphSAGE forward pass.
  *
- * Each case hashes the embeddings of a fixed, seeded workload and
- * compares the hash with a constant checked in below. The constants
- * were produced by the scalar reference GEMM (i-k-j order with a
- * zero skip) and the unfused layer code, so any change that moves a
- * single embedding bit — a reordered sum, a contracted multiply-add,
- * a changed aggregation order — fails here even when every live
- * engine moves the same way.
+ * Each case hashes the output of a fixed, seeded workload and compares
+ * the hash with a constant checked in to golden.hh (which says how the
+ * constants are kept). Sampling is pinned on Software and on the
+ * 4-shard Distributed backend across wire loss, hedging and the cache
+ * tier, plus a down shard, both through Session::sampleBatchInto and
+ * as seeded Sample jobs through the service.
  *
- * The hash is the benchmark's (perfbench) 64-bit word-wise FNV-1a, so
- * a digest printed by either side can be compared with the other.
+ * The embedding constants were produced by the scalar reference GEMM
+ * (i-k-j order with a zero skip) and the unfused layer code, so any
+ * change that moves a single embedding bit — a reordered sum, a
+ * contracted multiply-add, a changed aggregation order — fails here
+ * even when every live engine moves the same way.
  */
 
-#include <gtest/gtest.h>
-
-#include <cstring>
-#include <span>
-#include <vector>
+#include "golden.hh"
 
 #include "gnn/minibatch_forward.hh"
-#include "service/service.hh"
 
 namespace lsdgnn {
 namespace {
 
-/** Word-wise FNV-1a: each step is a bijection of the running hash. */
-class Digest
-{
-  public:
-    void
-    word(std::uint64_t w)
-    {
-        h_ = (h_ ^ w) * 0x100000001b3ull;
-    }
+using golden::benchPlan;
+using golden::Digest;
+using golden::kBatches;
+using golden::matches;
+using golden::sessionConfig;
 
-    void
-    span(std::span<const float> v)
-    {
-        word(v.size());
-        const auto *bytes =
-            reinterpret_cast<const unsigned char *>(v.data());
-        const std::size_t n = v.size_bytes();
-        std::size_t i = 0;
-        for (; i + 8 <= n; i += 8) {
-            std::uint64_t w;
-            std::memcpy(&w, bytes + i, 8);
-            word(w);
-        }
-        std::uint64_t tail = 0;
-        std::memcpy(&tail, bytes + i, n - i);
-        word(tail);
-    }
-
-    void
-    matrix(const gnn::Matrix &m)
-    {
-        word(m.rows());
-        word(m.cols());
-        span(m.data());
-    }
-
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
-constexpr int kJobs = 3;
-
-/** The benchmark's batch shape: 64 roots x fan-outs {10, 10}. */
-sampling::SamplePlan
-benchPlan()
-{
-    sampling::SamplePlan plan;
-    plan.batch_size = 64;
-    plan.fanouts = {10, 10};
-    return plan;
-}
-
-/**
- * Digest of kJobs seeded EmbedJobs run through Service::execute on a
- * 2-layer model at hidden 256 (the benchmark's embed-closed model).
- */
+/** Embed-job digest on the benchmark's embed-closed model. */
 std::uint64_t
 serviceDigest(gnn::Aggregator aggregator, bool distributed)
 {
-    service::ServiceConfig::Builder b;
-    b.dataset("ss", 40'000).servers(4).seed(7).workers(1).model(256, 2);
+    auto b = golden::serviceBuilder();
+    b.model(256, 2);
     b.raw().pipeline.aggregator = aggregator;
-    if (distributed) {
-        framework::DistributedConfig d;
-        d.num_shards = 4;
-        // Every remote read must resolve for the output to be golden.
-        d.request_timeout_us = 50'000.0;
-        b.distributed(d);
-    }
-    service::Service svc(b.build());
-
-    Digest d;
-    for (int i = 0; i < kJobs; ++i) {
-        service::SubmitOptions options;
-        options.seed = 1000 + i;
-        const auto result =
-            svc.execute(service::Job::embed(benchPlan(), options));
-        EXPECT_TRUE(result.ok()) << result.status().toString();
-        if (!result.ok())
-            break;
-        d.matrix(result.value().embeddings);
-    }
-    svc.shutdown();
-    return d.value();
+    if (distributed)
+        b.distributed(golden::fabric(0.0, 0.0, 0.0));
+    return golden::serviceDigest(b.build(), service::JobKind::Embed);
 }
 
 /** One sampled batch with its per-level raw features. */
@@ -130,7 +57,7 @@ sampleBatches(framework::Session &session, const sampling::SamplePlan &plan)
             attrs.fetch(nodes[i], m.row(i));
         return m;
     };
-    std::vector<Gathered> out(kJobs);
+    std::vector<Gathered> out(kBatches);
     for (Gathered &g : out) {
         g.batch = session.sampleBatch(plan);
         g.levels.push_back(features(g.batch.roots));
@@ -140,19 +67,8 @@ sampleBatches(framework::Session &session, const sampling::SamplePlan &plan)
     return out;
 }
 
-framework::SessionConfig
-sessionConfig()
-{
-    framework::SessionConfig cfg;
-    cfg.dataset = "ss";
-    cfg.scale_divisor = 40'000;
-    cfg.num_servers = 4;
-    cfg.seed = 7;
-    return cfg;
-}
-
 /**
- * Digest of forwardGathered over kJobs batches of @p plan, for a model
+ * Digest of forwardGathered over kBatches batches of @p plan, for a model
  * of plan.hops() layers at hidden 256.
  */
 std::uint64_t
@@ -171,7 +87,7 @@ forwardDigest(gnn::Aggregator aggregator, double width_scale,
     return d.value();
 }
 
-/** Digest of GraphSageModel::embed over kJobs batches of @p plan. */
+/** Digest of GraphSageModel::embed over kBatches batches of @p plan. */
 std::uint64_t
 embedDigest(gnn::Aggregator aggregator, const sampling::SamplePlan &plan)
 {
@@ -180,7 +96,7 @@ embedDigest(gnn::Aggregator aggregator, const sampling::SamplePlan &plan)
     const gnn::GraphSageModel model(session.attributeStore().attrLen(),
                                     256, plan.hops(), rng, aggregator);
     Digest d;
-    for (int i = 0; i < kJobs; ++i)
+    for (int i = 0; i < kBatches; ++i)
         d.matrix(model.embed(session.sampleBatch(plan),
                              session.attributeStore()));
     return d.value();
@@ -195,59 +111,113 @@ plan(std::uint32_t roots, std::vector<std::uint32_t> fanouts)
     return p;
 }
 
+TEST(GoldenDigest, SoftwareSessionSample)
+{
+    EXPECT_TRUE(matches(golden::sampleDigest(sessionConfig()),
+                        golden::kSoftwareSample));
+}
+
+TEST(GoldenDigest, DistributedSessionSampleAcrossFabricCases)
+{
+    // Loss, hedges and the cache tier change timing and wire traffic,
+    // never which neighbors a root draws.
+    for (const golden::FabricCase &c : golden::kFabricCases) {
+        SCOPED_TRACE(testing::Message()
+                     << "loss=" << c.loss << " hedge_q="
+                     << c.hedge_quantile << " cache_mb=" << c.cache_mb);
+        EXPECT_TRUE(matches(
+            golden::sampleDigest(golden::distributedConfig(
+                golden::fabric(c.loss, c.hedge_quantile, c.cache_mb))),
+            golden::kFabricSample));
+    }
+}
+
+TEST(GoldenDigest, DistributedSessionSampleDownShard)
+{
+    auto d = golden::fabric(0.0, 0.0, 0.0);
+    d.down_shards = {2};
+    EXPECT_TRUE(matches(
+        golden::sampleDigest(golden::distributedConfig(d)),
+        golden::kDownShardSample));
+}
+
+TEST(GoldenDigest, SoftwareServiceSample)
+{
+    EXPECT_TRUE(matches(
+        golden::serviceDigest(golden::serviceBuilder().build(),
+                              service::JobKind::Sample),
+        golden::kSoftwareServiceSample));
+}
+
+TEST(GoldenDigest, DistributedFourShardServiceSample)
+{
+    EXPECT_TRUE(matches(
+        golden::serviceDigest(golden::serviceBuilder()
+                                  .distributed(golden::fabric(0, 0, 0))
+                                  .build(),
+                              service::JobKind::Sample),
+        golden::kFabricServiceSample));
+}
+
 TEST(GoldenDigest, SoftwareServiceMax)
 {
-    EXPECT_EQ(serviceDigest(gnn::Aggregator::Max, false),
-              0x81de644bd161d1eeull);
+    EXPECT_TRUE(matches(serviceDigest(gnn::Aggregator::Max, false),
+                        golden::kSoftwareServiceEmbedMax));
 }
 
 TEST(GoldenDigest, SoftwareServiceMean)
 {
-    EXPECT_EQ(serviceDigest(gnn::Aggregator::Mean, false),
-              0x2a1e235f48c31a78ull);
+    EXPECT_TRUE(matches(serviceDigest(gnn::Aggregator::Mean, false),
+                        golden::kSoftwareServiceEmbedMean));
 }
 
 TEST(GoldenDigest, DistributedFourShardServiceMax)
 {
-    EXPECT_EQ(serviceDigest(gnn::Aggregator::Max, true),
-              0xbc956e710812af0eull);
+    EXPECT_TRUE(matches(serviceDigest(gnn::Aggregator::Max, true),
+                        golden::kFabricServiceEmbedMax));
 }
 
 TEST(GoldenDigest, ForwardGatheredFullWidth)
 {
-    EXPECT_EQ(forwardDigest(gnn::Aggregator::Max, 1.0, benchPlan()),
-              0x367f4086a1719c08ull);
-    EXPECT_EQ(forwardDigest(gnn::Aggregator::Mean, 1.0, benchPlan()),
-              0xecb22c85dd70f044ull);
+    EXPECT_TRUE(
+        matches(forwardDigest(gnn::Aggregator::Max, 1.0, benchPlan()),
+                0x367f4086a1719c08ull));
+    EXPECT_TRUE(
+        matches(forwardDigest(gnn::Aggregator::Mean, 1.0, benchPlan()),
+                0xecb22c85dd70f044ull));
 }
 
 TEST(GoldenDigest, ForwardGatheredBrownOutWidth)
 {
     // 0.3 x 256 rounds to 77 columns: not a multiple of any vector
     // width, so every layer runs a column tail.
-    EXPECT_EQ(forwardDigest(gnn::Aggregator::Max, 0.3, benchPlan()),
-              0x8d337d65650ee0d7ull);
-    EXPECT_EQ(forwardDigest(gnn::Aggregator::Mean, 0.3, benchPlan()),
-              0x40e3f3be7021774eull);
+    EXPECT_TRUE(
+        matches(forwardDigest(gnn::Aggregator::Max, 0.3, benchPlan()),
+                0x8d337d65650ee0d7ull));
+    EXPECT_TRUE(
+        matches(forwardDigest(gnn::Aggregator::Mean, 0.3, benchPlan()),
+                0x40e3f3be7021774eull));
 }
 
 TEST(GoldenDigest, ForwardGatheredOneAndThreeLayers)
 {
-    EXPECT_EQ(forwardDigest(gnn::Aggregator::Max, 1.0, plan(13, {7})),
-              0xcb2e2418355988adull);
-    EXPECT_EQ(forwardDigest(gnn::Aggregator::Mean, 0.3,
-                            plan(9, {4, 3, 5})),
-              0xf798644987010102ull);
+    EXPECT_TRUE(
+        matches(forwardDigest(gnn::Aggregator::Max, 1.0, plan(13, {7})),
+                0xcb2e2418355988adull));
+    EXPECT_TRUE(matches(
+        forwardDigest(gnn::Aggregator::Mean, 0.3, plan(9, {4, 3, 5})),
+        0xf798644987010102ull));
 }
 
 TEST(GoldenDigest, GraphSageModelEmbed)
 {
-    EXPECT_EQ(embedDigest(gnn::Aggregator::Max, benchPlan()),
-              0xa36c5300710f4322ull);
-    EXPECT_EQ(embedDigest(gnn::Aggregator::Mean, benchPlan()),
-              0xd141bfdcd58c1942ull);
-    EXPECT_EQ(embedDigest(gnn::Aggregator::Max, plan(9, {4, 3, 5})),
-              0x103f95002e09f489ull);
+    EXPECT_TRUE(matches(embedDigest(gnn::Aggregator::Max, benchPlan()),
+                        0xa36c5300710f4322ull));
+    EXPECT_TRUE(matches(embedDigest(gnn::Aggregator::Mean, benchPlan()),
+                        0xd141bfdcd58c1942ull));
+    EXPECT_TRUE(
+        matches(embedDigest(gnn::Aggregator::Max, plan(9, {4, 3, 5})),
+                0x103f95002e09f489ull));
 }
 
 } // namespace
