@@ -619,10 +619,10 @@ DistributedBackend::submitAttrs(std::uint32_t root)
 void
 DistributedBackend::sampleBarrier()
 {
-    // Lockstep round protocol, kept for A/B benchmarking against the
-    // continuation engine: every root submits its current hop, the
-    // staging buffers force-flush (one frame train per hop), the
-    // event queue drains to the hop barrier, then every root draws.
+    // Lockstep round protocol (async_fabric = false), the engine the
+    // continuation engine replaced: every root submits its current
+    // hop, the staging buffers force-flush (one frame train per hop),
+    // the event queue drains to the hop barrier, then every root draws.
     // Same per-root RNG streams and per-root code as the async path,
     // so the sampled output is byte-identical.
     pumping_ = true; // completions only decrement; no advancing

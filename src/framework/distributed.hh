@@ -25,8 +25,9 @@
  *    through its hops while a slow one still awaits the wire. There
  *    is no hop barrier any more; one event-queue drain runs the whole
  *    batch. (DistributedConfig::async_fabric = false restores the
- *    lockstep round protocol for A/B benchmarking — same per-root
- *    RNG streams, so the sampled output is byte-identical.)
+ *    lockstep round protocol — same per-root RNG streams, so both
+ *    engines reproduce the same checked-in sampling digests,
+ *    tests/golden.hh.)
  *
  *  - Degradation: a read that missed its per-package deadline or hit
  *    a down peer is answered by negative-resampling from the local

@@ -24,13 +24,11 @@ Batcher::collect(RequestQueue &queue, std::vector<Request> &out) const
             return false;
         const auto popped_at = first->popped_at;
         std::uint64_t roots = first->plan.batch_size;
-        // EDF mode: the queue pops earliest-deadline-first, so the
-        // first rider's deadline is the batch's drop-dead point. The
-        // aging window never waits past it, and the queue's straddle
-        // rule keeps riders due before it out of this batch.
-        const auto dropdead = config_.deadline_aware
-                                  ? first->deadline
-                                  : Clock::time_point::max();
+        // The queue pops earliest-deadline-first, so the first
+        // rider's deadline is the batch's drop-dead point. The aging
+        // window never waits past it, and the queue's straddle rule
+        // keeps riders due before it out of this batch.
+        const auto dropdead = first->deadline;
         const auto window_end =
             std::min(popped_at + config_.window, dropdead);
         out.push_back(std::move(*first));
@@ -55,23 +53,21 @@ Batcher::collect(RequestQueue &queue, std::vector<Request> &out) const
                 break; // aged out, a worker is idle, or closed
         }
 
-        if (config_.deadline_aware) {
-            // Final expiry sweep: a request whose deadline passed
-            // while the batch formed must not ride into execution —
-            // shed it now (through the queue's accounting) instead of
-            // spending backend time on a dead answer.
-            const auto now = Clock::now();
-            for (auto it = out.begin(); it != out.end();) {
-                if (it->deadline > now) {
-                    ++it;
-                    continue;
-                }
-                queue.shed(std::move(*it),
-                           Status(StatusCode::DeadlineExceeded,
-                                  "expired at batch close"),
-                           ShedCause::DeadlineDrop);
-                it = out.erase(it);
+        // Final expiry sweep: a request whose deadline passed while
+        // the batch formed must not ride into execution — shed it now
+        // (through the queue's accounting) instead of spending backend
+        // time on a dead answer.
+        const auto now = Clock::now();
+        for (auto it = out.begin(); it != out.end();) {
+            if (it->deadline > now) {
+                ++it;
+                continue;
             }
+            queue.shed(std::move(*it),
+                       Status(StatusCode::DeadlineExceeded,
+                              "expired at batch close"),
+                       ShedCause::DeadlineDrop);
+            it = out.erase(it);
         }
         if (!out.empty())
             return true;

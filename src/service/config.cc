@@ -1,7 +1,12 @@
 #include "config.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 namespace lsdgnn {
 namespace service {
@@ -20,38 +25,42 @@ inUnitInterval(double v)
     return v > 0.0 && v <= 1.0;
 }
 
+bool
+finiteNonNegative(double v)
+{
+    return std::isfinite(v) && v >= 0.0;
+}
+
 const char *
 envStr(const char *name)
 {
     return std::getenv(name);
 }
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+/**
+ * @p name parsed whole as a T in [0, @p max]; @p fallback when unset or
+ * empty. Anything else — a sign, text, trailing junk, a value that
+ * does not fit — is fatal and names the variable.
+ */
+template <typename T>
+T
+envNumber(const char *name, T fallback,
+          T max = std::numeric_limits<T>::max())
 {
     const char *v = envStr(name);
     if (v == nullptr || *v == '\0')
         return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
-double
-envDouble(const char *name, double fallback)
-{
-    const char *v = envStr(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    char *end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
-bool
-envBool(const char *name, bool fallback)
-{
-    return envU64(name, fallback ? 1 : 0) != 0;
+    const char *end = v + std::strlen(v);
+    T parsed{};
+    const auto [ptr, ec] = std::from_chars(v, end, parsed);
+    const bool whole = ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        lsd_assert(whole && finiteNonNegative(parsed), name, "=\"", v,
+                   "\" is not a finite number >= 0");
+    else
+        lsd_assert(whole && parsed <= max, name, "=\"", v,
+                   "\" is not an integer in [0, ", max, "]");
+    return parsed;
 }
 
 } // namespace
@@ -95,8 +104,10 @@ ServiceConfig::validate() const
         return invalid("pipeline.hidden_dim must be > 0");
     if (pipeline.layers == 0)
         return invalid("pipeline.layers must be > 0");
-    if (pipeline.gather_gbps < 0.0 || pipeline.gather_rtt_us < 0.0)
-        return invalid("pipeline gather fabric model must be >= 0");
+    if (!finiteNonNegative(pipeline.gather_gbps) ||
+        !finiteNonNegative(pipeline.gather_rtt_us))
+        return invalid("pipeline gather fabric model must be finite "
+                       "and >= 0");
     if (pipeline.gemm_rows == 0 || pipeline.gemm_cols == 0)
         return invalid("pipeline GEMM geometry must be > 0");
     if (pipeline.gemm_clock_mhz <= 0.0)
@@ -110,21 +121,20 @@ ServiceConfig::fromEnv()
     ServiceConfig config;
     if (const char *dataset = envStr("LSDGNN_SERVICE_DATASET"))
         config.session.dataset = dataset;
-    config.session.scale_divisor = envU64(
+    config.session.scale_divisor = envNumber(
         "LSDGNN_SERVICE_SCALE", config.session.scale_divisor);
-    config.num_workers = static_cast<std::uint32_t>(
-        envU64("LSDGNN_SERVICE_WORKERS", config.num_workers));
-    config.queue_capacity = static_cast<std::size_t>(
-        envU64("LSDGNN_SERVICE_QUEUE", config.queue_capacity));
-    config.qos.enabled =
-        envBool("LSDGNN_SERVICE_QOS", config.qos.enabled);
+    config.num_workers =
+        envNumber("LSDGNN_SERVICE_WORKERS", config.num_workers);
+    config.queue_capacity =
+        envNumber("LSDGNN_SERVICE_QUEUE", config.queue_capacity);
     config.pipeline.enabled =
-        envBool("LSDGNN_SERVICE_PIPELINE", config.pipeline.enabled);
-    config.pipeline.hidden_dim = static_cast<std::uint32_t>(
-        envU64("LSDGNN_SERVICE_HIDDEN", config.pipeline.hidden_dim));
-    config.pipeline.layers = static_cast<std::uint32_t>(
-        envU64("LSDGNN_SERVICE_LAYERS", config.pipeline.layers));
-    config.pipeline.gather_gbps = envDouble(
+        envNumber<std::uint32_t>("LSDGNN_SERVICE_PIPELINE",
+                                 config.pipeline.enabled, 1) != 0;
+    config.pipeline.hidden_dim =
+        envNumber("LSDGNN_SERVICE_HIDDEN", config.pipeline.hidden_dim);
+    config.pipeline.layers =
+        envNumber("LSDGNN_SERVICE_LAYERS", config.pipeline.layers);
+    config.pipeline.gather_gbps = envNumber(
         "LSDGNN_SERVICE_GATHER_GBPS", config.pipeline.gather_gbps);
     const Status status = config.validate();
     lsd_assert(status.ok(), "LSDGNN_SERVICE_* environment invalid: ",

@@ -50,8 +50,7 @@ struct ServiceConfig {
     /**
      * Multi-tenant QoS policy: per-tenant token-bucket admission,
      * priority lanes with weighted-fair dequeue, EDF batching and
-     * brown-out. qos.enabled = false restores the pre-QoS engine
-     * exactly (single FIFO, no admission control).
+     * brown-out.
      */
     QosConfig qos;
     /**
@@ -74,14 +73,15 @@ struct ServiceConfig {
      *   LSDGNN_SERVICE_SCALE     functional scale divisor
      *   LSDGNN_SERVICE_WORKERS   worker threads
      *   LSDGNN_SERVICE_QUEUE     admission-queue capacity
-     *   LSDGNN_SERVICE_QOS       0/1 QoS scheduler
      *   LSDGNN_SERVICE_PIPELINE  0/1 double-buffered stages
      *   LSDGNN_SERVICE_HIDDEN    model hidden width
      *   LSDGNN_SERVICE_LAYERS    model depth (= required hops)
      *   LSDGNN_SERVICE_GATHER_GBPS  modeled gather bandwidth
      *
-     * Unset or unparsable vars keep the default. The result is
-     * validated (fatal on a contradictory environment).
+     * Unset or empty vars keep the default. A value with a sign, any
+     * text, a value too large for its field, or a non-finite
+     * bandwidth is fatal and names the variable, as is a
+     * contradictory environment (the result is validated).
      */
     static ServiceConfig fromEnv();
 
@@ -170,13 +170,6 @@ class ServiceConfig::Builder
     defaultDeadline(std::chrono::microseconds deadline)
     {
         config_.default_deadline = deadline;
-        return *this;
-    }
-
-    Builder &
-    qosEnabled(bool enabled)
-    {
-        config_.qos.enabled = enabled;
         return *this;
     }
 

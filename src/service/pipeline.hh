@@ -23,8 +23,8 @@
  * PipelineConfig::enabled = false collapses the two stages into one
  * thread: stage A calls the stage-B body inline. Both modes run the
  * identical per-batch code in the identical order, so a seeded job's
- * reply is byte-identical between them — the A/B hook the golden
- * tests pin.
+ * reply is byte-identical between them; both reproduce the
+ * checked-in golden digests (tests/golden.hh).
  */
 
 #ifndef LSDGNN_SERVICE_PIPELINE_HH

@@ -31,11 +31,11 @@
  *    trip the flight recorder ("brownout-engage:*").
  *
  * Determinism: with one tenant, generous buckets and no queue
- * pressure, every mechanism here is a no-op and the sampled output is
- * byte-identical to the pre-QoS engine (pinned by tests/test_qos.cc
- * golden tests, with the legacy FIFO scheduler retained behind
- * QosConfig::enabled=false for A/B). All policy methods take explicit
- * time points so tests drive them with a fake clock.
+ * pressure, every mechanism here is a no-op and seeded output matches
+ * the checked-in golden digests (tests/golden.hh, asserted with QoS
+ * lanes, a tenant and deadlines by tests/test_qos.cc). All policy
+ * methods take explicit time points so tests drive them with a fake
+ * clock.
  */
 
 #ifndef LSDGNN_SERVICE_QOS_HH
@@ -255,13 +255,6 @@ class BrownOut
 
 /** Whole-service QoS policy (lives in ServiceConfig). */
 struct QosConfig {
-    /**
-     * Master switch. false restores the pre-QoS engine exactly: one
-     * FIFO queue, no lanes, no token buckets, no EDF, no brown-out —
-     * retained so golden tests can A/B the schedulers the same way
-     * the async fabric keeps its barrier engine.
-     */
-    bool enabled = true;
     /** Weighted-fair dequeue shares of the two lanes. */
     std::uint32_t interactive_weight = 3;
     std::uint32_t batch_weight = 1;

@@ -15,7 +15,7 @@ namespace {
 /**
  * EDF ordering: earliest deadline first, admission id breaking ties.
  * No-deadline requests carry time_point::max(), so a lane of
- * deadline-free requests degenerates to FIFO — the pre-QoS order.
+ * deadline-free requests degenerates to FIFO.
  */
 bool
 edfBefore(const Request &a, const Request &b)
@@ -31,15 +31,11 @@ RequestQueue::RequestQueue(RequestQueueConfig config)
     : config_(config)
 {
     lsd_assert(config_.capacity > 0, "queue needs capacity");
-    if (config_.qos) {
-        const std::uint64_t iw = config_.interactive_weight;
-        const std::uint64_t bw = config_.batch_weight;
-        const std::uint64_t total = std::max<std::uint64_t>(iw + bw, 1);
-        batchCap_ = std::max<std::size_t>(
-            1, static_cast<std::size_t>(config_.capacity * bw / total));
-    } else {
-        batchCap_ = config_.capacity;
-    }
+    const std::uint64_t iw = config_.interactive_weight;
+    const std::uint64_t bw = config_.batch_weight;
+    const std::uint64_t total = std::max<std::uint64_t>(iw + bw, 1);
+    batchCap_ = std::max<std::size_t>(
+        1, static_cast<std::size_t>(config_.capacity * bw / total));
     credit_[0] = config_.interactive_weight;
     credit_[1] = config_.batch_weight;
     group.addCounter("accepted", &accepted_, "requests admitted");
@@ -66,15 +62,6 @@ RequestQueue::RequestQueue(RequestQueueConfig config)
 RequestQueue::~RequestQueue()
 {
     trace::FlightRecorder::instance().unregisterGauge(flightGauge_);
-}
-
-std::size_t
-RequestQueue::laneOf(const Request &req) const
-{
-    // Legacy engine: one FIFO lane, priorities ignored.
-    if (!config_.qos)
-        return 0;
-    return static_cast<std::size_t>(req.lane);
 }
 
 void
@@ -117,7 +104,7 @@ RequestQueue::maybeTrip()
 void
 RequestQueue::releaseTenantSlotLocked(const Request &req)
 {
-    if (!config_.qos || req.lane != Lane::Batch)
+    if (req.lane != Lane::Batch)
         return;
     auto it = batchTenantDepth_.find(req.tenant);
     if (it != batchTenantDepth_.end() && --it->second == 0)
@@ -195,8 +182,6 @@ RequestQueue::pickLaneLocked()
                                   !lanes_[1].empty()};
     if (!has[0] && !has[1])
         return -1;
-    if (!config_.qos)
-        return has[0] ? 0 : 1;
     // Weighted round-robin: start a fresh credit cycle when no
     // non-empty lane has credit left, then prefer the Interactive
     // lane. Work-conserving — an empty lane never blocks the other.
@@ -221,7 +206,7 @@ RequestQueue::checkStarvationLocked(std::size_t lane,
                                     Clock::time_point now)
 {
     lastServed_[lane] = now;
-    if (!config_.qos || config_.starvation_threshold.count() <= 0)
+    if (config_.starvation_threshold.count() <= 0)
         return;
     const std::size_t other = 1 - lane;
     if (lanes_[other].empty())
@@ -243,7 +228,7 @@ bool
 RequestQueue::push(Request &&req)
 {
     const auto now = Clock::now();
-    const std::size_t lane = laneOf(req);
+    const auto lane = static_cast<std::size_t>(req.lane);
     const std::uint64_t waited_before = threadLockWaits().queue_ns;
     auto lock = mutex_.lock();
     req.admit_lock_ns = threadLockWaits().queue_ns - waited_before;
@@ -253,7 +238,7 @@ RequestQueue::push(Request &&req)
         refusal = "service shutting down";
     } else if (total >= config_.capacity) {
         refusal = "admission queue full";
-    } else if (config_.qos && req.lane == Lane::Batch) {
+    } else if (req.lane == Lane::Batch) {
         if (lanes_[lane].size() >= batchCap_) {
             refusal = "batch lane at capacity";
         } else if (qos_) {
@@ -290,7 +275,7 @@ RequestQueue::push(Request &&req)
     req.enqueued_at = now;
     req.id = next_id++;
     depthAtAdmit.sample(static_cast<double>(total));
-    if (config_.qos && req.lane == Lane::Batch)
+    if (req.lane == Lane::Batch)
         ++batchTenantDepth_[req.tenant];
     lanes_[lane].push_back(std::move(req));
     ++arrivals_;
@@ -311,27 +296,11 @@ RequestQueue::pop()
         const int lane = pickLaneLocked();
         if (lane >= 0) {
             auto &dq = lanes_[lane];
-            auto it = dq.begin();
-            if (config_.qos) {
-                sweepExpiredLocked(static_cast<std::size_t>(lane),
-                                   now);
-                if (dq.empty())
-                    continue; // the whole lane had expired; re-pick
-                it = std::min_element(dq.begin(), dq.end(), edfBefore);
-            } else {
-                // Legacy engine: FIFO, dropping expired heads.
-                while (!dq.empty() && dq.front().deadline <= now) {
-                    Request expired = std::move(dq.front());
-                    dq.pop_front();
-                    shedLocked(std::move(expired),
-                               Status(StatusCode::DeadlineExceeded,
-                                      "expired in queue"),
-                               ShedCause::DeadlineDrop, now);
-                }
-                if (dq.empty())
-                    continue;
-                it = dq.begin();
-            }
+            sweepExpiredLocked(static_cast<std::size_t>(lane), now);
+            if (dq.empty())
+                continue; // the whole lane had expired; re-pick
+            const auto it =
+                std::min_element(dq.begin(), dq.end(), edfBefore);
             Request req = std::move(*it);
             dq.erase(it);
             req.popped_at = now;
@@ -359,7 +328,7 @@ RequestQueue::popCompatible(const Request &proto,
                             Clock::time_point batch_dropdead)
 {
     const auto now = Clock::now();
-    const std::size_t lane = laneOf(proto);
+    const auto lane = static_cast<std::size_t>(proto.lane);
     auto lock = mutex_.lock();
     // Sweep first so candidate selection never walks over corpses
     // (and deque::erase never invalidates the chosen iterator).
@@ -373,12 +342,8 @@ RequestQueue::popCompatible(const Request &proto,
         // Straddle rule: a rider due *before* the forming batch's
         // drop-dead point must not be merged into it — it needs to
         // run sooner than the batch it would join.
-        if (config_.qos && it->deadline < batch_dropdead)
+        if (it->deadline < batch_dropdead)
             continue;
-        if (!config_.qos) {
-            best = it; // legacy: oldest queued compatible
-            break;
-        }
         if (best == dq.end() || edfBefore(*it, *best))
             best = it;
     }

@@ -4,13 +4,12 @@
  *
  * The queue is the service's admission-control point: producers (any
  * number of client threads) push requests, consumers (the worker
- * pool) pop them. With QoS enabled the queue holds two priority
- * lanes — Interactive (online inference) and Batch (training plans) —
- * and dequeues between them with weighted fairness, so a saturating
- * Batch workload cannot starve Interactive traffic; within a lane,
- * requests are served earliest-deadline-first (EDF; requests without
- * a deadline tie-break FIFO by admission id, so the no-deadline path
- * is byte-identical to the historical FIFO order).
+ * pool) pop them. It holds two priority lanes — Interactive (online
+ * inference) and Batch (training plans) — and dequeues between them
+ * with weighted fairness, so a saturating Batch workload cannot
+ * starve Interactive traffic; within a lane, requests are served
+ * earliest-deadline-first (EDF; requests without a deadline
+ * tie-break FIFO by admission id).
  *
  * Capacity policy: the queue holds at most `capacity` requests in
  * total. The Interactive lane may use the whole budget, while the
@@ -42,9 +41,6 @@
  * waitForArrival() stops waiting as soon as that count is above zero
  * — including when a peer goes idle partway through the wait — so a
  * batch ages only while every other worker is busy.
- *
- * With QosConfig::enabled = false the queue collapses to the pre-QoS
- * engine exactly: one FIFO lane, no EDF, no lane budgets.
  */
 
 #ifndef LSDGNN_SERVICE_REQUEST_QUEUE_HH
@@ -79,12 +75,6 @@ struct RequestQueueConfig {
     std::size_t shed_spike_threshold = 64;
     /** Width of the shed-spike counting window. */
     std::chrono::milliseconds shed_spike_window{100};
-    /**
-     * QoS scheduler switch. false = the legacy single-FIFO queue
-     * (lanes collapse into one, EDF off, no lane budgets) — the
-     * retained pre-QoS engine the golden tests A/B against.
-     */
-    bool qos = true;
     /** Weighted-fair dequeue shares (see Lane). */
     std::uint32_t interactive_weight = 3;
     std::uint32_t batch_weight = 1;
@@ -136,12 +126,11 @@ class RequestQueue
      * Non-blocking pop of the earliest-deadline queued request (FIFO
      * among no-deadline requests) in @p proto's lane that is
      * batch-compatible with @p proto (plan shape AND routing AND
-     * lane) and whose batch_size fits within @p root_budget. With QoS
-     * on, candidates whose deadline falls before @p batch_dropdead
-     * are left queued — merging them would straddle the forming
-     * batch's drop-dead point (they need to run *sooner* than the
-     * batch they would join). Expired requests are dropped during the
-     * scan.
+     * lane) and whose batch_size fits within @p root_budget.
+     * Candidates whose deadline falls before @p batch_dropdead are
+     * left queued — merging them would straddle the forming batch's
+     * drop-dead point (they need to run *sooner* than the batch they
+     * would join). Expired requests are dropped during the scan.
      */
     std::optional<Request>
     popCompatible(const Request &proto, std::uint64_t root_budget,
@@ -202,8 +191,6 @@ class RequestQueue
     RequestQueue &operator=(const RequestQueue &) = delete;
 
   private:
-    /** Lane a request routes to under the current scheduler. */
-    std::size_t laneOf(const Request &req) const;
     /** Complete @p req as shed with @p status (lock held by caller). */
     void shedLocked(Request &&req, Status status, ShedCause cause,
                     Clock::time_point now);

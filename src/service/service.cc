@@ -15,19 +15,13 @@ Service::Service(ServiceConfig config)
     qos_ = std::make_unique<QosRuntime>(config_.qos);
     stats_ = std::make_unique<ServiceStats>();
 
-    // The EDF batcher is part of the QoS scheduler: disable both
-    // together so qos.enabled=false is the complete pre-QoS engine.
-    config_.batcher.deadline_aware = config_.qos.enabled;
-
     RequestQueueConfig qcfg;
     qcfg.capacity = config_.queue_capacity;
-    qcfg.qos = config_.qos.enabled;
     qcfg.interactive_weight = config_.qos.interactive_weight;
     qcfg.batch_weight = config_.qos.batch_weight;
     qcfg.starvation_threshold = config_.qos.starvation_threshold;
     queue_ = std::make_unique<RequestQueue>(qcfg);
-    if (config_.qos.enabled)
-        queue_->bindQos(qos_.get());
+    queue_->bindQos(qos_.get());
 
     // The distributed workers must share one store — the graph
     // instance is the big allocation, and per-worker copies would
@@ -49,7 +43,7 @@ Service::Service(ServiceConfig config)
     pcfg.num_workers = config_.num_workers;
     pcfg.session = config_.session;
     pcfg.batcher = config_.batcher;
-    pcfg.qos = config_.qos.enabled ? qos_.get() : nullptr;
+    pcfg.qos = qos_.get();
     pcfg.compute = compute_.get();
     pool = std::make_unique<WorkerPool>(pcfg, *queue_, *stats_);
     pool->start();
@@ -116,28 +110,22 @@ Service::submit(const Job &job)
     if (deadline.count() > 0)
         req.deadline = now + deadline;
 
-    if (config_.qos.enabled) {
-        // Per-tenant token bucket: a deny burns the tenant's budget,
-        // not queue capacity — the future completes immediately.
-        const AdmitDecision decision =
-            qos_->registry.admit(req.tenant, now);
-        if (!decision.admitted)
-            return failFast(StatusCode::Rejected,
-                            "tenant admission rate exceeded",
-                            decision.cause);
-        // Brown-out level 2 (DegradeAndShed): keep interactive
-        // traffic flowing degraded, shed Batch-lane work outright.
-        const double fill =
-            static_cast<double>(queue_->depth()) /
-            static_cast<double>(queue_->capacity());
-        const int level = qos_->brownout.observe(fill, now);
-        if (level >= BrownOut::DegradeAndShed &&
-            req.lane == Lane::Batch) {
-            qos_->registry.recordShed(req.tenant, ShedCause::BrownOut);
-            return failFast(StatusCode::Rejected,
-                            "brown-out: batch lane shedding",
-                            ShedCause::BrownOut);
-        }
+    // Per-tenant token bucket: a deny burns the tenant's budget, not
+    // queue capacity — the future completes immediately.
+    const AdmitDecision decision = qos_->registry.admit(req.tenant, now);
+    if (!decision.admitted)
+        return failFast(StatusCode::Rejected,
+                        "tenant admission rate exceeded", decision.cause);
+    // Brown-out level 2 (DegradeAndShed): keep interactive traffic
+    // flowing degraded, shed Batch-lane work outright.
+    const double fill = static_cast<double>(queue_->depth()) /
+                        static_cast<double>(queue_->capacity());
+    const int level = qos_->brownout.observe(fill, now);
+    if (level >= BrownOut::DegradeAndShed && req.lane == Lane::Batch) {
+        qos_->registry.recordShed(req.tenant, ShedCause::BrownOut);
+        return failFast(StatusCode::Rejected,
+                        "brown-out: batch lane shedding",
+                        ShedCause::BrownOut);
     }
 
     queue_->push(std::move(req));

@@ -36,6 +36,7 @@ WorkerPool::WorkerPool(WorkerPoolConfig config, RequestQueue &queue,
     : config_(config), queue_(queue), stats_(stats)
 {
     lsd_assert(config_.num_workers > 0, "pool needs workers");
+    lsd_assert(config_.qos != nullptr, "pool needs the QoS runtime");
 }
 
 WorkerPool::~WorkerPool()
@@ -160,8 +161,7 @@ WorkerPool::run(std::uint32_t worker_id)
         reply.worker = worker_id;
         reply.batched_with = static_cast<std::uint32_t>(riders);
         stats_.recordCompletion(reply, telem);
-        if (config_.qos != nullptr)
-            config_.qos->registry.recordOutcome(reply.tenant, reply);
+        config_.qos->registry.recordOutcome(reply.tenant, reply);
         // A request that finished past its drop-dead time is an SLO
         // anomaly even though it was answered: record it and
         // (rate-limited) snapshot the flight recorder.
@@ -317,19 +317,14 @@ WorkerPool::run(std::uint32_t worker_id)
         // width. Riders still get a usable (smaller) payload.
         bool browned_out = false;
         double width_scale = 1.0;
-        if (config_.qos != nullptr) {
-            const double fill =
-                static_cast<double>(queue_.depth()) /
-                static_cast<double>(queue_.capacity());
-            const int level =
-                config_.qos->brownout.observe(fill, st.exec_start);
-            if (level >= BrownOut::Degrade) {
-                plan = config_.qos->brownout.degrade(plan);
-                if (needsCompute(kind))
-                    width_scale = config_.qos->brownout.config()
-                                      .compute_width_scale;
-                browned_out = true;
-            }
+        const double fill = static_cast<double>(queue_.depth()) /
+                            static_cast<double>(queue_.capacity());
+        BrownOut &brownout = config_.qos->brownout;
+        if (brownout.observe(fill, st.exec_start) >= BrownOut::Degrade) {
+            plan = brownout.degrade(plan);
+            if (needsCompute(kind))
+                width_scale = brownout.config().compute_width_scale;
+            browned_out = true;
         }
 
         framework::SampleOptions opts;

@@ -15,8 +15,8 @@
  * shared GEMM engine and completes the riders' futures — so batch
  * i+1 samples/gathers while batch i computes. Sample-only jobs
  * complete inline in the first stage. PipelineConfig::enabled = false
- * runs both stages inline on the worker thread (the serial A/B
- * baseline). Execution spans land on per-worker Perfetto tracks
+ * runs both stages inline on the worker thread (serial mode).
+ * Execution spans land on per-worker Perfetto tracks
  * (`service.workerN`, `service.workerN.compute`) when tracing is on.
  */
 
@@ -60,13 +60,12 @@ struct WorkerPoolConfig {
     /** Micro-batching policy every worker applies. */
     BatcherConfig batcher;
     /**
-     * QoS runtime (owned by the service). When set, every worker
-     * feeds the brown-out controller with queue fill before executing
-     * a micro-batch, degrades the merged plan's fan-outs at level >= 1
+     * QoS runtime, owned by the service; required. Every worker feeds
+     * the brown-out controller with queue fill before executing a
+     * micro-batch, degrades the merged plan's fan-outs at level >= 1
      * (replies become Status::Degraded with ShedCause::BrownOut — the
      * payload stays usable; compute kinds additionally lose embedding
-     * width), and records per-tenant outcomes. Null disables all of
-     * it (legacy engine / direct-pool tests).
+     * width), and records per-tenant outcomes.
      */
     QosRuntime *qos = nullptr;
     /**
