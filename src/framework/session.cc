@@ -152,7 +152,7 @@ Session::estimatedSamplesPerSecond(const sampling::SamplePlan &plan)
     if (config_.backend != Backend::AxeOffload) {
         // Software and Distributed both run on the CPU service model;
         // the distributed fabric costs show up in measured goodput
-        // (bench_distributed), not this analytical estimate.
+        // (perfbench's sharded-sample), not this analytical estimate.
         baseline::CpuSamplerModel cpu;
         baseline::CpuClusterConfig cluster;
         cluster.num_servers = config_.num_servers;
