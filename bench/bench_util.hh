@@ -77,10 +77,10 @@ jsonRequested(int argc, char **argv)
 }
 
 /**
- * Wall-clock run metadata for harnesses that measure real elapsed
- * time (the service benches) rather than simulated ticks. `extra`
- * is spliced verbatim into the meta object and must be empty or a
- * leading-comma key sequence, e.g. `,"workers":4`.
+ * Run metadata of a JSON summary. The defaults describe a
+ * single-threaded harness on simulated ticks. `extra` is spliced
+ * verbatim into the meta object and must be empty or a leading-comma
+ * key sequence, e.g. `,"workers":4`.
  */
 struct RunMeta
 {
@@ -96,7 +96,7 @@ struct RunMeta
  * the registry when their owners are destroyed.
  */
 inline std::string
-jsonSummary(const std::string &bench_name, const RunMeta &meta)
+jsonSummary(const std::string &bench_name, const RunMeta &meta = {})
 {
     std::ostringstream os;
     std::string escaped;
@@ -111,13 +111,6 @@ jsonSummary(const std::string &bench_name, const RunMeta &meta)
     stats::StatRegistry::instance().exportJson(os);
     os << "}";
     return os.str();
-}
-
-/** Single-threaded harness convenience overload (no wall clock). */
-inline std::string
-jsonSummary(const std::string &bench_name)
-{
-    return jsonSummary(bench_name, RunMeta{});
 }
 
 /** Format a double with unit-style suffix (K/M/G). */

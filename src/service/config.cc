@@ -13,6 +13,15 @@ namespace service {
 
 namespace {
 
+/**
+ * Most workers a service may start. Each worker is up to two threads
+ * and its own Session, so threads and memory grow with the count; an
+ * LSDGNN_SERVICE_WORKERS value up to 2^32 - 1 parses, and must fail
+ * here rather than start billions of threads. The bound sits far
+ * above the core count of any host where more workers add throughput.
+ */
+constexpr std::uint32_t kMaxWorkers = 1024;
+
 Status
 invalid(std::string message)
 {
@@ -68,8 +77,9 @@ envNumber(const char *name, T fallback,
 Status
 ServiceConfig::validate() const
 {
-    if (num_workers == 0)
-        return invalid("num_workers must be > 0");
+    if (num_workers == 0 || num_workers > kMaxWorkers)
+        return invalid("num_workers must be in [1, " +
+                       std::to_string(kMaxWorkers) + "]");
     if (queue_capacity == 0)
         return invalid("queue_capacity must be > 0");
     if (session.dataset.empty())
@@ -110,8 +120,9 @@ ServiceConfig::validate() const
                        "and >= 0");
     if (pipeline.gemm_rows == 0 || pipeline.gemm_cols == 0)
         return invalid("pipeline GEMM geometry must be > 0");
-    if (pipeline.gemm_clock_mhz <= 0.0)
-        return invalid("pipeline.gemm_clock_mhz must be > 0");
+    if (!finiteNonNegative(pipeline.gemm_clock_mhz) ||
+        pipeline.gemm_clock_mhz == 0.0)
+        return invalid("pipeline.gemm_clock_mhz must be finite and > 0");
     return StatusCode::Ok;
 }
 

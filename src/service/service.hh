@@ -103,13 +103,6 @@ class Service
     /** Shared compute state (model + GEMM engine geometry). */
     const ComputeRuntime &compute() const { return *compute_; }
 
-    /**
-     * Cumulative per-stage busy time across all workers — the
-     * occupancy counters the pipeline-overlap benchmark reads
-     * (quiesce first; see WorkerPool::stageBusy).
-     */
-    StageBusy stageBusy() const { return pool->stageBusy(); }
-
     const ServiceConfig &config() const { return config_; }
 
     Service(const Service &) = delete;

@@ -61,19 +61,6 @@ WorkerPool::join()
             t.join();
 }
 
-StageBusy
-WorkerPool::stageBusy() const
-{
-    StageBusy busy;
-    busy.sample_us =
-        static_cast<double>(sampleBusyNs_.load()) / 1000.0;
-    busy.gather_us =
-        static_cast<double>(gatherBusyNs_.load()) / 1000.0;
-    busy.compute_us =
-        static_cast<double>(computeBusyNs_.load()) / 1000.0;
-    return busy;
-}
-
 void
 WorkerPool::run(std::uint32_t worker_id)
 {
@@ -193,9 +180,6 @@ WorkerPool::run(std::uint32_t worker_id)
         st.work_end = Clock::now();
         const ThreadMark work_end = ThreadMark::now();
         st.cpu.compute_us = cpuUs(cpu_start, work_end.cpu_ns);
-        computeBusyNs_.fetch_add(
-            toNs(elapsedUs(st.compute_start, st.work_end)),
-            std::memory_order_relaxed);
         const bool solo = p.riders.size() == 1;
 
         if (trace::Tracer::enabled()) {
@@ -360,8 +344,6 @@ WorkerPool::run(std::uint32_t worker_id)
                                       work_end.locks);
             const double exec_us =
                 elapsedUs(st.sample_start, st.sample_end);
-            sampleBusyNs_.fetch_add(toNs(exec_us),
-                                    std::memory_order_relaxed);
 
             trace::FlightRecorder::instance().recordNow(
                 "batch", batchCtx.trace_id, batchCtx.span_id,
@@ -458,8 +440,6 @@ WorkerPool::run(std::uint32_t worker_id)
         st.cpu.sample_us = cpuUs(cpu_sample, cpu_gather);
         const double sample_us = elapsedUs(st.sample_start, st.sample_end);
         payload->sample_telemetry = telem;
-        sampleBusyNs_.fetch_add(toNs(sample_us),
-                                std::memory_order_relaxed);
 
         // Gather, then pace the stage to the modeled fabric: sleep
         // off the time the residual remote bytes would need on the
@@ -487,8 +467,6 @@ WorkerPool::run(std::uint32_t worker_id)
         st.cpu.gather_us = cpuUs(cpu_gather, gathered.cpu_ns);
         st.locks = lockWaitsSince(collect_start.locks, gathered.locks);
         const double gather_us = elapsedUs(st.sample_end, st.gather_end);
-        gatherBusyNs_.fetch_add(toNs(gather_us),
-                                std::memory_order_relaxed);
 
         trace::FlightRecorder::instance().recordNow(
             "batch", batchCtx.trace_id, batchCtx.span_id,

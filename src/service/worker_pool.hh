@@ -18,12 +18,13 @@
  * runs both stages inline on the worker thread (serial mode).
  * Execution spans land on per-worker Perfetto tracks
  * (`service.workerN`, `service.workerN.compute`) when tracing is on.
+ * Per-stage wall time is stamped on every Reply (`stages`) and summed
+ * in the `service.stage.*` groups' `wall_ns` counters.
  */
 
 #ifndef LSDGNN_SERVICE_WORKER_POOL_HH
 #define LSDGNN_SERVICE_WORKER_POOL_HH
 
-#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -38,18 +39,6 @@ namespace lsdgnn {
 namespace service {
 
 struct QosRuntime;
-
-/**
- * Cumulative busy wall time per pipeline stage, summed over all
- * workers — the occupancy numbers the overlap benchmark divides:
- * with the pipeline on, wall clock should approach
- * max(sample + gather, compute) per worker instead of their sum.
- */
-struct StageBusy {
-    double sample_us = 0.0;
-    double gather_us = 0.0;
-    double compute_us = 0.0;
-};
 
 /** Worker-pool construction knobs. */
 struct WorkerPoolConfig {
@@ -99,9 +88,6 @@ class WorkerPool
 
     std::uint32_t numWorkers() const { return config_.num_workers; }
 
-    /** Per-stage busy time so far (exact once workers quiesce). */
-    StageBusy stageBusy() const;
-
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
 
@@ -112,10 +98,6 @@ class WorkerPool
     RequestQueue &queue_;
     ServiceStats &stats_;
     std::vector<std::thread> threads;
-    /** Stage-busy accumulators, nanoseconds (atomic: all workers). */
-    std::atomic<std::uint64_t> sampleBusyNs_{0};
-    std::atomic<std::uint64_t> gatherBusyNs_{0};
-    std::atomic<std::uint64_t> computeBusyNs_{0};
 };
 
 } // namespace service
