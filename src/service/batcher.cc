@@ -31,9 +31,12 @@ Batcher::collect(RequestQueue &queue, std::vector<Request> &out) const
         const auto dropdead = first->deadline;
         const auto window_end =
             std::min(popped_at + config_.window, dropdead);
+        // Batch-lane requests run alone (see the file comment).
+        const std::size_t max_riders =
+            first->lane == Lane::Batch ? 1 : config_.max_requests;
         out.push_back(std::move(*first));
 
-        while (out.size() < config_.max_requests &&
+        while (out.size() < max_riders &&
                roots < config_.max_roots) {
             // Snapshot the arrival counter *before* scanning so an
             // arrival racing with the scan wakes the wait immediately.

@@ -23,6 +23,11 @@
  * the workers blocked in pop()). With one worker, or with every worker
  * busy, batches age for the full window as before.
  *
+ * Only the Interactive lane merges. A Batch-lane request forms a batch
+ * of its own: while a worker executes Batch work it cannot serve the
+ * Interactive lane, so a worker busy with Batch work frees up after one
+ * Batch request, not after up to `max_requests` of them.
+ *
  * Formation is deadline-aware (EDF). The first rider popped is the
  * lane's earliest deadline, and its deadline becomes the batch's
  * *drop-dead point*: the aging window never stretches past it, riders
@@ -67,7 +72,7 @@ struct SplitScratch {
 
 /** Micro-batching knobs. */
 struct BatcherConfig {
-    /** Max requests coalesced into one backend execution. */
+    /** Max Interactive requests coalesced into one execution. */
     std::uint32_t max_requests = 8;
     /** Cap on the merged batch_size (sum of rider batch sizes). */
     std::uint64_t max_roots = 4096;

@@ -202,6 +202,27 @@ TEST(Batcher, MaxRequestsBoundsBatch)
         req.promise.set_value(service::Reply{});
 }
 
+TEST(Batcher, BatchLaneRequestsRunAlone)
+{
+    service::RequestQueue queue({16});
+    std::vector<std::future<service::Reply>> futures;
+    for (int i = 0; i < 3; ++i) {
+        auto req = makeRequest(tinyPlan(4));
+        req.lane = service::Lane::Batch;
+        futures.push_back(req.promise.get_future());
+        ASSERT_TRUE(queue.push(std::move(req)));
+    }
+    service::Batcher batcher({8, 4096, 0us});
+    std::vector<service::Request> batch;
+    ASSERT_TRUE(batcher.collect(queue, batch));
+    EXPECT_EQ(batch.size(), 1u);
+    EXPECT_EQ(queue.depth(), 2u);
+    queue.close();
+    queue.cancelPending();
+    for (auto &req : batch)
+        req.promise.set_value(service::Reply{});
+}
+
 TEST(Batcher, RootBudgetBoundsBatch)
 {
     service::RequestQueue queue({16});
