@@ -139,7 +139,6 @@ main(int argc, char **argv)
         .servers(4)
         .workers(workers)
         .queueCapacity(128)
-        .batchWindow(200us)
         .defaultDeadline(10ms); // in-queue staleness bound
     for (std::uint32_t t = 1; t <= tenants; ++t) {
         service::TenantConfig tenant;
@@ -162,7 +161,7 @@ main(int argc, char **argv)
                       ? ", " + TextTable::num(tenant_rate, 0) +
                             " QPS/tenant admission rate"
                       : std::string())
-              << ", 200 us batching window\n\n";
+              << ", merging queued riders\n\n";
 
     // Every fleet submission bills tenant 1 on the requested lane.
     service::SubmitOptions fleet_options;

@@ -4,16 +4,6 @@
 
 namespace lsdgnn {
 
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 std::uint64_t
 splitMix64(std::uint64_t &state)
 {
@@ -30,37 +20,15 @@ Rng::Rng(std::uint64_t seed)
         word = splitMix64(sm);
 }
 
-Rng::result_type
-Rng::operator()()
-{
-    const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const std::uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
-}
-
 std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
+Rng::nextBoundedSlow(__uint128_t m, std::uint64_t bound)
 {
     lsd_assert(bound > 0, "nextBounded requires a positive bound");
-    // Lemire's nearly-divisionless bounded rejection sampling.
-    std::uint64_t x = (*this)();
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
     std::uint64_t low = static_cast<std::uint64_t>(m);
-    if (low < bound) {
-        const std::uint64_t threshold = -bound % bound;
-        while (low < threshold) {
-            x = (*this)();
-            m = static_cast<__uint128_t>(x) * bound;
-            low = static_cast<std::uint64_t>(m);
-        }
+    const std::uint64_t threshold = -bound % bound;
+    while (low < threshold) {
+        m = static_cast<__uint128_t>((*this)()) * bound;
+        low = static_cast<std::uint64_t>(m);
     }
     return static_cast<std::uint64_t>(m >> 64);
 }

@@ -34,10 +34,38 @@ class Rng
     static constexpr result_type max() { return ~result_type(0); }
 
     /** Next raw 64-bit value. */
-    result_type operator()();
+    result_type
+    operator()()
+    {
+        const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
+        const std::uint64_t t = state[1] << 17;
 
-    /** Uniform integer in [0, bound). @pre bound > 0. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+        state[2] ^= state[0];
+        state[3] ^= state[1];
+        state[1] ^= state[2];
+        state[0] ^= state[3];
+        state[2] ^= t;
+        state[3] = rotl(state[3], 45);
+
+        return result;
+    }
+
+    /**
+     * Uniform integer in [0, bound). @pre bound > 0.
+     *
+     * Lemire's nearly-divisionless method. The accept branch is inline;
+     * the rare draw whose low product word falls below @p bound (and a
+     * zero bound, which wraps `bound - 1` and fails the precondition
+     * there) goes to the out-of-line rejection loop.
+     */
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        const __uint128_t m = static_cast<__uint128_t>((*this)()) * bound;
+        if (static_cast<std::uint64_t>(m) <= bound - 1) [[unlikely]]
+            return nextBoundedSlow(m, bound);
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /** Uniform double in [0, 1). */
     double nextDouble();
@@ -55,6 +83,15 @@ class Rng
     Rng fork();
 
   private:
+    static constexpr std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    /** nextBounded's rejection loop, from the first product @p m. */
+    std::uint64_t nextBoundedSlow(__uint128_t m, std::uint64_t bound);
+
     std::array<std::uint64_t, 4> state;
 };
 

@@ -36,19 +36,20 @@ Batcher::collect(RequestQueue &queue, std::vector<Request> &out) const
             first->lane == Lane::Batch ? 1 : config_.max_requests;
         out.push_back(std::move(*first));
 
+        const bool aging = config_.window.count() > 0;
         while (out.size() < max_riders &&
                roots < config_.max_roots) {
             // Snapshot the arrival counter *before* scanning so an
             // arrival racing with the scan wakes the wait immediately.
-            const std::uint64_t seen = queue.arrivals();
+            const std::uint64_t seen = aging ? queue.arrivals() : 0;
             if (auto rider = queue.popCompatible(
                     out.front(), config_.max_roots - roots, dropdead)) {
                 roots += rider->plan.batch_size;
                 out.push_back(std::move(*rider));
                 continue;
             }
-            if (config_.window.count() == 0 ||
-                Clock::now() >= window_end)
+            // Without a window, take only the riders already queued.
+            if (!aging || Clock::now() >= window_end)
                 break;
             // Age only while every other worker is busy: the wait
             // also ends when a peer idles in pop().
@@ -152,6 +153,8 @@ Batcher::splitInto(const sampling::SampleResult &merged,
     }
     bool contiguous = true;
 
+    auto &next_bounds = scratch.next_bounds;
+    next_bounds.resize(parts + 1);
     auto &owner = scratch.owner;
     auto &remap = scratch.remap;
     auto &counts = scratch.counts;
@@ -168,53 +171,45 @@ Batcher::splitInto(const sampling::SampleResult &merged,
         const bool chain_needed = h + 1 < hops;
 
         if (contiguous) {
-            // Optimistic single pass: with non-decreasing parents, a
-            // cursor walking the rider boundaries classifies every
-            // entry in O(1), sizing each rider's sub-level exactly.
-            counts.assign(parts, 0);
-            bool monotone = true;
-            {
-                std::size_t r = 0;
-                std::uint32_t last_p = 0;
-                for (std::size_t j = 0; j < parent.size(); ++j) {
-                    const std::uint32_t p = parent[j];
-                    lsd_assert(p < prev_size,
-                               "parent index out of range at hop ", h);
-                    if (p < last_p) {
-                        monotone = false;
-                        break;
-                    }
-                    last_p = p;
-                    while (p >= bounds[r + 1])
-                        ++r;
-                    ++counts[r];
-                }
-            }
-            if (monotone) {
-                // Rider i owns one merged-level range of counts[i]
-                // entries: assign the frontier slice whole (single
-                // memcpy) and rebase parents by the rider's boundary
-                // offset in one fused read-subtract-write pass.
-                std::size_t begin = 0;
+            // One branch-free scan for a descent. Non-decreasing
+            // parents need no per-entry work beyond it: the range
+            // check is on the last parent, and each rider's range is
+            // one binary search.
+            const std::uint32_t *par = parent.data();
+            const std::size_t n = parent.size();
+            bool descends = false;
+            for (std::size_t j = 1; j < n; ++j)
+                descends |= par[j] < par[j - 1];
+            if (!descends) {
+                lsd_assert(n == 0 || par[n - 1] < prev_size,
+                           "parent index out of range at hop ", h);
+                // Rider i's children are the entries whose parent
+                // lies in [bounds[i], bounds[i+1]): one range of the
+                // sorted parents, found by binary search. Copy its
+                // frontier slice whole and rebase its parents by the
+                // rider's offset in the previous level.
+                next_bounds[0] = 0;
+                for (std::size_t i = 1; i < parts; ++i)
+                    next_bounds[i] = static_cast<std::uint32_t>(
+                        std::lower_bound(par + next_bounds[i - 1],
+                                         par + n, bounds[i]) -
+                        par);
+                next_bounds[parts] = static_cast<std::uint32_t>(n);
                 for (std::size_t i = 0; i < parts; ++i) {
-                    const std::size_t n = counts[i];
-                    const auto b = static_cast<std::ptrdiff_t>(begin);
+                    const std::size_t begin = next_bounds[i];
+                    const std::size_t count = next_bounds[i + 1] - begin;
                     auto &sub = out[i];
-                    sub.frontier[h].assign(
-                        frontier.begin() + b,
-                        frontier.begin() + b +
-                            static_cast<std::ptrdiff_t>(n));
-                    sub.parent[h].resize(n);
+                    sub.frontier[h].assign(frontier.data() + begin,
+                                           frontier.data() + begin +
+                                               count);
+                    sub.parent[h].resize(count);
                     const std::uint32_t base = bounds[i];
-                    const std::uint32_t *src = parent.data() + begin;
+                    const std::uint32_t *src = par + begin;
                     std::uint32_t *dst = sub.parent[h].data();
-                    for (std::size_t j = 0; j < n; ++j)
+                    for (std::size_t j = 0; j < count; ++j)
                         dst[j] = src[j] - base;
-                    begin += n;
                 }
-                bounds[0] = 0;
-                for (std::size_t i = 0; i < parts; ++i)
-                    bounds[i + 1] = bounds[i] + counts[i];
+                bounds.swap(next_bounds);
                 continue;
             }
             // Out-of-order parents: materialize the boundary mapping
@@ -231,9 +226,8 @@ Batcher::splitInto(const sampling::SampleResult &merged,
             contiguous = false;
         }
 
-        // General path. Counting pass first (the optimistic pass above
-        // may have aborted partway), then counts double as per-rider
-        // write cursors.
+        // General path. Counting pass first, then counts double as
+        // per-rider write cursors.
         counts.assign(parts, 0);
         for (std::size_t j = 0; j < parent.size(); ++j) {
             const std::uint32_t p = parent[j];

@@ -6,22 +6,27 @@
  * layer up: where the MoF endpoint coalesces memory requests into one
  * fabric package inside a staging/aging window, the Batcher coalesces
  * *service* requests with the same plan shape into one backend
- * execution inside a wall-clock aging window. One merged
- * `sampleBatch` call amortizes per-command overhead (and, on the
- * AxeOffload backend, per-Table-4-command cost) across every rider.
+ * execution. One merged `sampleBatch` call amortizes per-command
+ * overhead (and, on the AxeOffload backend, per-Table-4-command cost)
+ * across every rider.
  *
- * A micro-batch closes when any of four limits is hit:
+ * Batching is opportunistic: a micro-batch takes only the compatible
+ * riders that are already queued when its first rider is popped, so a
+ * free worker never waits for company. A merged execution is not free
+ * on the Software backend (about twice a solo one for two riders, plus
+ * the split), so waiting to fill a batch costs a lone request more
+ * than it saves; under backlog, riders are queued and merge anyway.
+ * A micro-batch closes when any of these limits is hit:
  *   - `max_requests` riders collected,
  *   - `max_roots` total merged batch size reached,
- *   - the aging `window` since the first (oldest) rider expired,
- *   - no compatible rider is queued while another worker is idle.
+ *   - no compatible rider is queued (with the default zero `window`),
+ *   - the aging `window` since the first rider expired, or another
+ *     worker went idle (only with a positive `window`).
  *
- * The last rule makes batching work-conserving: the window is an upper
- * bound that applies only while every other worker is busy. A batch
- * that could start on an idle worker never waits for company, and an
- * aging batch closes as soon as a peer goes idle (RequestQueue counts
- * the workers blocked in pop()). With one worker, or with every worker
- * busy, batches age for the full window as before.
+ * A positive `window` turns on MoF-style aging: while every other
+ * worker is busy, the batch waits up to `window` for riders to arrive
+ * (RequestQueue::waitForArrival), and it closes as soon as a peer
+ * goes idle (RequestQueue counts the workers blocked in pop()).
  *
  * Only the Interactive lane merges. A Batch-lane request forms a batch
  * of its own: while a worker executes Batch work it cannot serve the
@@ -35,12 +40,14 @@
  * riders found expired when the batch closes are shed instead of
  * executed — a formed batch never carries an already-expired request.
  *
- * Merging concatenates root ranges; splitting walks the merged
- * result's parent chains and hands every frontier entry back to the
- * request that owns its root, with parent indices remapped into the
- * per-request sub-frontier. Requests therefore receive exactly the
- * SampleResult they would have gotten from a lone execution with the
- * same root draw.
+ * Merging concatenates root ranges; splitting hands every frontier
+ * entry back to the request that owns its root, with parent indices
+ * remapped into the per-request sub-frontier. The sampling engine
+ * emits children in parent order, so each rider owns one contiguous
+ * range of every level: the split finds the range boundaries by
+ * binary search and copies each slice whole. Requests therefore
+ * receive exactly the SampleResult they would have gotten from a lone
+ * execution with the same root draw.
  */
 
 #ifndef LSDGNN_SERVICE_BATCHER_HH
@@ -56,13 +63,14 @@ namespace service {
 
 /**
  * Reusable buffers for Batcher::splitInto: per-rider range boundaries
- * for the contiguous fast path, the owner/remap chains that thread
- * parent indices through the hop levels on the general path, plus
- * per-rider counts doubling as write cursors. Single-owner, like
- * SampleScratch.
+ * of the current and next level for the contiguous fast path, the
+ * owner/remap chains that thread parent indices through the hop
+ * levels on the general path, plus per-rider counts doubling as write
+ * cursors. Single-owner, like SampleScratch.
  */
 struct SplitScratch {
     std::vector<std::uint32_t> bounds;
+    std::vector<std::uint32_t> next_bounds;
     std::vector<std::uint32_t> owner;
     std::vector<std::uint32_t> remap;
     std::vector<std::uint32_t> next_owner;
@@ -78,10 +86,12 @@ struct BatcherConfig {
     std::uint64_t max_roots = 4096;
     /**
      * Aging window: the longest the first rider waits for company.
-     * It applies only while every other worker is busy; a batch stops
-     * aging as soon as another worker is idle (see the file comment).
+     * 0 (the default) merges only riders already queued, so a batch
+     * never waits. A positive window applies only while every other
+     * worker is busy; a batch stops aging as soon as another worker
+     * is idle (see the file comment).
      */
-    std::chrono::microseconds window{200};
+    std::chrono::microseconds window{0};
 };
 
 /** Collects, merges and splits micro-batches. Stateless per batch. */
@@ -118,8 +128,11 @@ class Batcher
      * Hot-path split: like split(), but reuses @p scratch and the
      * capacity already held by the elements of @p out (resized to one
      * result per rider, cleared first). Each rider's sub-frontiers are
-     * sized exactly in a counting pass before any element is written,
-     * so steady-state execution performs no heap allocation.
+     * sized exactly before any element is written, so steady-state
+     * execution performs no heap allocation. Levels with
+     * non-decreasing parents (what the sampling engine emits) take a
+     * copy-per-rider fast path; any other level falls back to an
+     * entry-by-entry owner/remap walk.
      */
     static void splitInto(const sampling::SampleResult &merged,
                           const std::vector<std::uint32_t> &root_counts,

@@ -38,9 +38,10 @@
  *
  * Work conservation: the queue counts the consumers blocked in pop()
  * on an empty queue. A batch that is aging for riders in
- * waitForArrival() stops waiting as soon as that count is above zero
- * — including when a peer goes idle partway through the wait — so a
- * batch ages only while every other worker is busy.
+ * waitForArrival() (only a batcher with a positive window ages) stops
+ * waiting as soon as that count is above zero — including when a peer
+ * goes idle partway through the wait — so a batch ages only while
+ * every other worker is busy.
  */
 
 #ifndef LSDGNN_SERVICE_REQUEST_QUEUE_HH

@@ -177,8 +177,8 @@ WorkerPool::run(std::uint32_t worker_id)
             compute->model(), p.batch, p.features.levels,
             compute->gemm(), p.width_scale, &forward,
             p.features.leaf_table);
-        st.work_end = Clock::now();
         const ThreadMark work_end = ThreadMark::now();
+        st.work_end = Clock::now();
         st.cpu.compute_us = cpuUs(cpu_start, work_end.cpu_ns);
         const bool solo = p.riders.size() == 1;
 
@@ -276,9 +276,12 @@ WorkerPool::run(std::uint32_t worker_id)
     // forming the next batch (the batch stage's CPU starts here).
     ThreadMark collect_start = ThreadMark::now();
     while (batcher.collect(queue_, batch)) {
+        // A stage closes on a thread-CPU read, then a wall stamp; the
+        // sample and compute stages open wall first. Their CPU windows
+        // therefore nest inside their wall windows.
         BatchStamps st;
-        st.exec_start = Clock::now();
         const ThreadMark closed = ThreadMark::now();
+        st.exec_start = Clock::now();
         st.cpu.batch_us = cpuUs(collect_start.cpu_ns, closed.cpu_ns);
         const JobKind kind = batch.front().kind;
         lsd_assert(!needsCompute(kind) || compute != nullptr,
@@ -335,9 +338,9 @@ WorkerPool::run(std::uint32_t worker_id)
             const std::uint64_t cpu_sample = threadCpuNs();
             const Status exec_status =
                 session.sampleBatchInto(plan, merged, opts);
+            const ThreadMark work_end = ThreadMark::now();
             st.sample_end = st.gather_end = st.compute_start =
                 st.work_end = Clock::now();
-            const ThreadMark work_end = ThreadMark::now();
             st.cpu.handoff_us = cpuUs(closed.cpu_ns, cpu_sample);
             st.cpu.sample_us = cpuUs(cpu_sample, work_end.cpu_ns);
             st.locks = lockWaitsSince(collect_start.locks,
@@ -435,8 +438,8 @@ WorkerPool::run(std::uint32_t worker_id)
         st.cpu.handoff_us = cpuUs(closed.cpu_ns, cpu_sample);
         payload->exec_status =
             session.sampleBatchInto(plan, payload->batch, opts);
-        st.sample_end = Clock::now();
         const std::uint64_t cpu_gather = threadCpuNs();
+        st.sample_end = Clock::now();
         st.cpu.sample_us = cpuUs(cpu_sample, cpu_gather);
         const double sample_us = elapsedUs(st.sample_start, st.sample_end);
         payload->sample_telemetry = telem;
@@ -462,8 +465,8 @@ WorkerPool::run(std::uint32_t worker_id)
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::micro>(
                     modeled_us - gather_cpu_us));
-        st.gather_end = Clock::now();
         const ThreadMark gathered = ThreadMark::now();
+        st.gather_end = Clock::now();
         st.cpu.gather_us = cpuUs(cpu_gather, gathered.cpu_ns);
         st.locks = lockWaitsSince(collect_start.locks, gathered.locks);
         const double gather_us = elapsedUs(st.sample_end, st.gather_end);

@@ -357,23 +357,38 @@ TEST(TimedMutex, CountsOnlyContendedAcquisitions)
     { const auto lock = mutex.lock(); }
     EXPECT_EQ(mutex.contended().value(), 0u);
 
-    std::atomic<bool> held{false};
-    std::thread holder([&] {
-        const auto lock = mutex.lock();
-        held.store(true);
-        std::this_thread::sleep_for(5ms);
-    });
-    while (!held.load())
-        std::this_thread::yield();
-    const std::uint64_t before = service::threadLockWaits().queue_ns;
-    { const auto lock = mutex.lock(); }
-    const std::uint64_t waited =
-        service::threadLockWaits().queue_ns - before;
-    holder.join();
-    EXPECT_EQ(mutex.contended().value(), 1u);
-    EXPECT_GE(waited, 1'000'000u); // blocked behind the 5 ms hold
-    EXPECT_EQ(mutex.waitNs().value(), waited);
-    EXPECT_EQ(service::threadLockWaits().stats_ns, 0u);
+    // One cycle: a holder keeps the mutex for 5 ms while this thread
+    // locks it. The cycle counts only if this thread reached lock()
+    // with at least 2 ms of the hold left; a thread descheduled past
+    // that point finds the mutex free, so the cycle is retried.
+    for (int attempt = 0; attempt < 10; ++attempt) {
+        const std::uint64_t contended_before = mutex.contended().value();
+        const std::uint64_t wait_before = mutex.waitNs().value();
+        std::atomic<bool> held{false};
+        service::Clock::time_point released{};
+        std::thread holder([&] {
+            const auto lock = mutex.lock();
+            held.store(true);
+            std::this_thread::sleep_for(5ms);
+            released = service::Clock::now();
+        });
+        while (!held.load())
+            std::this_thread::yield();
+        const std::uint64_t before = service::threadLockWaits().queue_ns;
+        const auto arrived = service::Clock::now();
+        { const auto lock = mutex.lock(); }
+        const std::uint64_t waited =
+            service::threadLockWaits().queue_ns - before;
+        holder.join();
+        if (released - arrived < 2ms)
+            continue;
+        EXPECT_EQ(mutex.contended().value() - contended_before, 1u);
+        EXPECT_GE(waited, 1'000'000u); // blocked behind the hold
+        EXPECT_EQ(mutex.waitNs().value() - wait_before, waited);
+        EXPECT_EQ(service::threadLockWaits().stats_ns, 0u);
+        return;
+    }
+    FAIL() << "no lock() landed inside the holder's 5 ms hold";
 }
 
 /** Split must partition the merged result exactly. */
@@ -491,6 +506,130 @@ TEST(Batcher, SplitIntoHandlesOutOfOrderParents)
     EXPECT_EQ(total, merged.totalSampled());
 }
 
+/**
+ * The split's oracle: rebuild each rider entry by entry, following
+ * every frontier entry's parent back to the rider that owns its root.
+ */
+std::vector<sampling::SampleResult>
+naiveSplit(const sampling::SampleResult &merged,
+           const std::vector<std::uint32_t> &root_counts)
+{
+    std::vector<sampling::SampleResult> out(root_counts.size());
+    // Owner rider and index within that rider, per previous-level entry.
+    std::vector<std::uint32_t> owner, local;
+    std::size_t next_root = 0;
+    for (std::uint32_t r = 0; r < root_counts.size(); ++r)
+        for (std::uint32_t k = 0; k < root_counts[r]; ++k) {
+            out[r].roots.push_back(merged.roots[next_root++]);
+            owner.push_back(r);
+            local.push_back(k);
+        }
+    for (std::size_t h = 0; h < merged.frontier.size(); ++h) {
+        for (auto &sub : out) {
+            sub.frontier.emplace_back();
+            sub.parent.emplace_back();
+        }
+        std::vector<std::uint32_t> next_owner, next_local;
+        for (std::size_t j = 0; j < merged.frontier[h].size(); ++j) {
+            const std::uint32_t p = merged.parent[h][j];
+            auto &sub = out[owner[p]];
+            next_owner.push_back(owner[p]);
+            next_local.push_back(
+                static_cast<std::uint32_t>(sub.frontier[h].size()));
+            sub.frontier[h].push_back(merged.frontier[h][j]);
+            sub.parent[h].push_back(local[p]);
+        }
+        owner.swap(next_owner);
+        local.swap(next_local);
+    }
+    return out;
+}
+
+TEST(Batcher, SplitIntoMatchesNaiveRebuildOnRandomShapes)
+{
+    // Random riders (some with no roots), hops where some riders get
+    // no children at all, the first entry of every other rider range
+    // (a parent equal to a rider bound) always sampled, and now and
+    // then a shuffled level, or one with a pair swapped across a rider
+    // boundary, that forces the general path. One scratch serves every trial, as on
+    // a worker.
+    Rng rng(2701);
+    service::SplitScratch scratch;
+    std::vector<sampling::SampleResult> parts;
+    for (int trial = 0; trial < 1000; ++trial) {
+        std::vector<std::uint32_t> root_counts(1 + rng.nextBounded(6));
+        for (auto &n : root_counts)
+            n = static_cast<std::uint32_t>(rng.nextBounded(6));
+        sampling::SampleResult merged;
+        for (std::uint32_t n : root_counts)
+            for (std::uint32_t k = 0; k < n; ++k)
+                merged.roots.push_back(rng());
+
+        // Owner of every entry of the previous level, in merged order.
+        std::vector<std::uint32_t> owner;
+        for (std::uint32_t r = 0; r < root_counts.size(); ++r)
+            owner.insert(owner.end(), root_counts[r], r);
+        const std::size_t hops = 1 + rng.nextBounded(3);
+        for (std::size_t h = 0; h < hops; ++h) {
+            std::vector<bool> barren(root_counts.size());
+            for (std::size_t r = 0; r < barren.size(); ++r)
+                barren[r] = rng.nextBounded(3) == 0;
+            std::vector<graph::NodeId> frontier;
+            std::vector<std::uint32_t> parent, next_owner;
+            for (std::uint32_t q = 0; q < owner.size(); ++q) {
+                if (barren[owner[q]])
+                    continue;
+                const bool first = q == 0 || owner[q - 1] != owner[q];
+                const std::uint64_t kids =
+                    (first ? 1 : 0) + rng.nextBounded(3);
+                for (std::uint64_t c = 0; c < kids; ++c) {
+                    frontier.push_back(rng());
+                    parent.push_back(q);
+                    next_owner.push_back(owner[q]);
+                }
+            }
+            const auto swapEntries = [&](std::size_t a, std::size_t b) {
+                std::swap(frontier[a], frontier[b]);
+                std::swap(parent[a], parent[b]);
+                std::swap(next_owner[a], next_owner[b]);
+            };
+            const std::uint64_t disorder = rng.nextBounded(8);
+            if (disorder == 0) {
+                // Fisher-Yates over the (frontier, parent) pairs.
+                for (std::size_t j = frontier.size(); j > 1; --j)
+                    swapEntries(j - 1, rng.nextBounded(j));
+            } else if (disorder == 1) {
+                // One descent, across a rider boundary: the only kind
+                // that moves an entry to another rider.
+                std::vector<std::size_t> edges;
+                for (std::size_t j = 0; j + 1 < frontier.size(); ++j)
+                    if (next_owner[j] != next_owner[j + 1])
+                        edges.push_back(j);
+                if (!edges.empty()) {
+                    const std::size_t j =
+                        edges[rng.nextBounded(edges.size())];
+                    swapEntries(j, j + 1);
+                }
+            }
+            merged.frontier.push_back(std::move(frontier));
+            merged.parent.push_back(std::move(parent));
+            owner.swap(next_owner);
+        }
+
+        const auto want = naiveSplit(merged, root_counts);
+        service::Batcher::splitInto(merged, root_counts, scratch, parts);
+        ASSERT_EQ(parts.size(), want.size()) << "trial " << trial;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(parts[i].roots, want[i].roots)
+                << "trial " << trial << " part " << i;
+            EXPECT_EQ(parts[i].frontier, want[i].frontier)
+                << "trial " << trial << " part " << i;
+            EXPECT_EQ(parts[i].parent, want[i].parent)
+                << "trial " << trial << " part " << i;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Service end-to-end
 // ---------------------------------------------------------------------
@@ -525,6 +664,39 @@ TEST(Service, LoneRequestsDoNotAgeWhileAWorkerIsIdle)
     std::sort(batch_us.begin(), batch_us.end());
     EXPECT_LT(batch_us[batch_us.size() / 2], 500.0)
         << "lone requests aged through the window";
+}
+
+TEST(Service, LoneRequestsDoNotAgeBehindABusyPeer)
+{
+    // Two workers at the default batcher config, one of them held for
+    // 300 ms by a Batch-lane Embed job whose gather is paced to a
+    // modeled fabric round trip. Lone requests then reach the other
+    // worker while its only peer is busy, the case an aging window
+    // would make wait for company.
+    service::ServiceConfig::Builder builder;
+    builder.dataset("ss", 40'000).servers(4).seed(7).workers(2)
+        .gatherFabric(1000.0, 300'000.0);
+    service::Service svc(builder.build());
+    service::SubmitOptions batch_lane;
+    batch_lane.lane = service::Lane::Batch;
+    auto held = svc.submit(service::Job::embed(tinyPlan(), batch_lane));
+    while (svc.queueDepth() != 0)
+        std::this_thread::sleep_for(100us);
+
+    std::vector<double> batch_us;
+    for (int i = 0; i < 31; ++i) {
+        const auto reply =
+            svc.submit(service::Job::sample(tinyPlan())).get();
+        ASSERT_EQ(reply.status, StatusCode::Ok);
+        EXPECT_EQ(reply.batched_with, 1u);
+        batch_us.push_back(reply.stages.batch_us);
+    }
+    ASSERT_EQ(held.wait_for(0s), std::future_status::timeout)
+        << "the Batch-lane job finished before the lone requests did";
+    std::sort(batch_us.begin(), batch_us.end());
+    EXPECT_LT(batch_us[batch_us.size() / 2], 100.0)
+        << "lone requests aged while the peer was busy";
+    EXPECT_EQ(held.get().status, StatusCode::Ok);
 }
 
 TEST(Service, CompletesEveryFuture)
